@@ -67,9 +67,7 @@ use ssg_error::SsgError;
 use ssg_graph::Graph;
 use ssg_intervals::{IntervalRepresentation, UnitIntervalRepresentation};
 use ssg_labeling::solver::Problem;
-use ssg_labeling::{
-    Labeling, PaletteKind, SeparationVector, SolverRegistry, Workspace, WorkspacePool,
-};
+use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, Workspace, WorkspacePool};
 use ssg_telemetry::{Counter, Gauge, Hist, Metrics, Phase};
 use ssg_tree::RootedTree;
 use std::collections::VecDeque;
@@ -318,7 +316,6 @@ pub struct EngineBuilder {
     backpressure: Backpressure,
     registry: Option<Arc<SolverRegistry>>,
     pool: Option<Arc<WorkspacePool>>,
-    palette: PaletteKind,
     metrics: Metrics,
 }
 
@@ -342,7 +339,6 @@ impl Default for EngineBuilder {
             backpressure: Backpressure::Block,
             registry: None,
             pool: None,
-            palette: PaletteKind::default(),
             metrics: Metrics::disabled(),
         }
     }
@@ -387,16 +383,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Palette backend of the internally built workspace pool (default
-    /// [`PaletteKind::Bitset`]). Ignored when an explicit
-    /// [`pool`](Self::pool) is attached — the pool already fixes the
-    /// palette its workspaces carry.
-    #[must_use]
-    pub fn palette(mut self, palette: PaletteKind) -> Self {
-        self.palette = palette;
-        self
-    }
-
     /// Telemetry handle engine counters and solver counters land on
     /// (default: disabled).
     #[must_use]
@@ -422,9 +408,7 @@ impl EngineBuilder {
             registry: self
                 .registry
                 .unwrap_or_else(|| Arc::new(SolverRegistry::with_paper_algorithms())),
-            pool: self
-                .pool
-                .unwrap_or_else(|| Arc::new(WorkspacePool::with_palette(self.palette))),
+            pool: self.pool.unwrap_or_default(),
             metrics: self.metrics,
             stats: StatCells::default(),
         });
@@ -475,11 +459,6 @@ impl Engine {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Palette backend the engine's workspace pool hands to every worker.
-    pub fn palette_kind(&self) -> PaletteKind {
-        self.inner.pool.palette_kind()
     }
 
     /// The telemetry handle this engine records on — the ingress hook the
@@ -760,7 +739,7 @@ impl Inner {
 
     fn record_panic(&self, ws: &mut Workspace) {
         // The arena may be mid-mutation; a fresh one keeps the lease sound.
-        *ws = Workspace::with_palette(ws.palette_kind());
+        *ws = Workspace::new();
         self.metrics.add(Counter::EnginePanics, 1);
         self.stats.panics.fetch_add(1, Ordering::Relaxed);
     }

@@ -2,7 +2,7 @@
 //!
 //! Static cells (`churn = none`) generate their scenario from the cell
 //! seed and run one assignment through the shared
-//! [`ssg_netsim::GridRunner`] on the cell's backend and palette — the lab
+//! [`ssg_netsim::GridRunner`] on the cell's backend — the lab
 //! does not reimplement execution, it drives the same harness
 //! `EXPERIMENTS.md` sweeps use. Churn cells run the corridor dynamics
 //! simulation at the cell's departure rate.
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssg_error::SsgError;
 use ssg_labeling::solver::{default_registry, InstanceKind, Problem};
-use ssg_labeling::{all_violations, PaletteKind, SeparationVector, Workspace};
+use ssg_labeling::{all_violations, SeparationVector, Workspace};
 use ssg_netsim::dynamics::simulate_corridor_with;
 use ssg_netsim::incremental::simulate_corridor_incremental_with;
 use ssg_netsim::{
@@ -69,21 +69,12 @@ struct Solved {
 /// Executes `cell` deterministically: same cell key → same `span`,
 /// `spans_match`, `ok`, and `error` on every run and every machine.
 pub fn execute_cell(cell: &Cell) -> CellOutcome {
-    execute_cell_with_palette(cell, cell.palette_kind())
-}
-
-/// [`execute_cell`] with an explicit palette backend — the hook behind
-/// `ssg lab run --palette`, which re-runs a whole matrix on the other
-/// backend to certify span equality. Spans are palette-invariant, so the
-/// outcome's deterministic columns are unchanged whatever `palette` is.
-/// Churn cells ignore it (the dynamics simulation owns its workspaces).
-pub fn execute_cell_with_palette(cell: &Cell, palette: PaletteKind) -> CellOutcome {
     let metrics = Metrics::with_tracing(CELL_RECORDER_CAPACITY);
     let start = Instant::now();
     let result = if cell.is_churn() {
         run_churn(cell, &metrics)
     } else {
-        run_static(cell, palette, &metrics)
+        run_static(cell, &metrics)
     };
     let wall_ns = start.elapsed().as_nanos() as u64;
     let snap = metrics.snapshot();
@@ -121,7 +112,7 @@ fn parse_sep(token: &str) -> Result<SeparationVector, SsgError> {
 /// One-shot assignment through the shared grid harness on the cell's
 /// backend. The grid is 1×1 — the point is that lab cells and
 /// EXPERIMENTS.md sweeps exercise the exact same runner and backends.
-fn run_static(cell: &Cell, palette: PaletteKind, metrics: &Metrics) -> Result<Solved, SsgError> {
+fn run_static(cell: &Cell, metrics: &Metrics) -> Result<Solved, SsgError> {
     let backend = GridBackend::parse(&cell.backend)
         .ok_or_else(|| SsgError::Spec(format!("bad backend token `{}`", cell.backend)))?;
     // The closure may run on a pool or engine thread; the tracing handle
@@ -130,7 +121,6 @@ fn run_static(cell: &Cell, palette: PaletteKind, metrics: &Metrics) -> Result<So
     let m = metrics.clone();
     let grid = GridRunner::new()
         .backend(backend)
-        .palette(palette)
         .metrics(metrics.clone())
         .run(
             std::slice::from_ref(cell),
@@ -326,22 +316,6 @@ mod tests {
         let full = execute_cell(&cell_from(spec, 1));
         assert!(full.ok);
         assert!(inc.span > 0 && full.span > 0);
-    }
-
-    #[test]
-    fn palette_cells_agree_span_for_span() {
-        // Same instance (shared seed), two palette backends: spans must be
-        // identical cell-by-cell — the palette.lab span-equality gate in
-        // miniature.
-        let spec = "name = t\n[grid]\nclass = corridor platoon backbone\nn = 26\nsep = 2,1\npalette = list bitset\n";
-        let cells = LabSpec::parse(spec).unwrap().cells().to_vec();
-        assert_eq!(cells.len(), 6);
-        for pair in cells.chunks(2) {
-            let (list, bitset) = (execute_cell(&pair[0]), execute_cell(&pair[1]));
-            assert!(list.ok, "{:?}", list.error);
-            assert!(bitset.ok, "{:?}", bitset.error);
-            assert_eq!(list.span, bitset.span, "cell {}", pair[0].instance_key());
-        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The declarative scenario lab of the `ssg` workspace: parameter-grid
 //! specs over graph class × size × separation vector × solver × execution
-//! backend × churn rate × palette backend, expanded into deterministic
-//! cells and run into a resumable on-disk row log with a
-//! committed-baseline regression gate.
+//! backend × churn rate, expanded into deterministic cells and run into
+//! a resumable on-disk row log with a committed-baseline regression gate.
 //!
 //! The lab is the standing driver that turns one-off bench invocations
 //! into a matrix that runs on every change:
@@ -34,10 +33,9 @@ pub mod run;
 pub mod spec;
 pub mod table;
 
-pub use cell::{execute_cell, execute_cell_with_palette, CellOutcome, CHURN_EPOCHS};
+pub use cell::{execute_cell, CellOutcome, CHURN_EPOCHS};
 pub use run::{
-    load_dir_spec, profile_path, report_dir, run_lab, run_lab_with_palette, trace_path, LabSummary,
-    ROWS_FILE, SPEC_FILE,
+    load_dir_spec, profile_path, report_dir, run_lab, trace_path, LabSummary, ROWS_FILE, SPEC_FILE,
 };
 pub use spec::{fnv1a64, Cell, Class, LabSpec, MAX_CELLS};
 pub use table::{compare_tables, render_drifts, render_table_text, Drift, LAB_ENVELOPE};

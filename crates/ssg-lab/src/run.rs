@@ -16,11 +16,10 @@
 //!   `cell-<id>.profile.json` self-time tree (`ssg-profile/v1`) so the
 //!   regression comes pre-attributed to an engine phase.
 
-use crate::cell::{execute_cell_with_palette, CellOutcome};
+use crate::cell::{execute_cell, CellOutcome};
 use crate::spec::{Cell, LabSpec};
 use crate::table::{build_table, compare_tables, Drift, LAB_ENVELOPE};
 use ssg_error::SsgError;
-use ssg_labeling::PaletteKind;
 use ssg_telemetry::json::Json;
 use ssg_telemetry::{Profile, TraceDump};
 use std::collections::BTreeMap;
@@ -225,25 +224,6 @@ pub fn run_lab(
     spec: &LabSpec,
     baseline: Option<&Json>,
 ) -> Result<LabSummary, SsgError> {
-    run_lab_with_palette(dir, spec, baseline, None)
-}
-
-/// [`run_lab`] with a palette-backend override for cells whose spec does
-/// not pin one (an explicit `palette` axis always wins). Spans are
-/// palette-invariant, so the rows, table, and baseline gate of an
-/// overridden run are byte-identical to the default run — which is
-/// exactly what `verify.sh` exploits to certify both backends against
-/// one committed table.
-pub fn run_lab_with_palette(
-    dir: &Path,
-    spec: &LabSpec,
-    baseline: Option<&Json>,
-    palette: Option<PaletteKind>,
-) -> Result<LabSummary, SsgError> {
-    let effective = |cell: &Cell| match (&cell.palette, palette) {
-        (None, Some(kind)) => kind,
-        _ => cell.palette_kind(),
-    };
     std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     let spec_path = dir.join(SPEC_FILE);
     if spec_path.exists() {
@@ -281,7 +261,7 @@ pub fn run_lab_with_palette(
     let mut ran = 0usize;
     let mut traces: BTreeMap<usize, Json> = BTreeMap::new();
     for cell in todo {
-        let out = execute_cell_with_palette(cell, effective(cell));
+        let out = execute_cell(cell);
         let row = row_json(&fingerprint, cell, &out);
         // One write + flush per row: a kill leaves at most one torn line,
         // which `load_rows` discards on resume.
@@ -317,7 +297,7 @@ pub fn run_lab_with_palette(
                 None => spec
                     .cells()
                     .get(id)
-                    .map(|c| execute_cell_with_palette(c, effective(c)).trace)
+                    .map(|c| execute_cell(c).trace)
                     .unwrap_or(Json::Null),
             };
             write_trace(dir, id, &trace)?;

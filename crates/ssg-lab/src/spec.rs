@@ -3,7 +3,7 @@
 //! A spec is a line-based text file: a `name = <slug>` header followed by
 //! one or more `[grid]` sections, each declaring axis value lists. The
 //! cross product of every grid's axes — in file order, axes nested
-//! class → n → sep → solver → backend → churn → palette — is the cell
+//! class → n → sep → solver → backend → churn — is the cell
 //! list of the run. Blank lines and `#` comments are skipped.
 //!
 //! ```text
@@ -23,7 +23,6 @@
 //! and every key, which is what makes interrupted runs safely resumable.
 
 use ssg_error::SsgError;
-use ssg_labeling::PaletteKind;
 use ssg_netsim::GridBackend;
 
 /// Hard cap on the number of cells a single spec may expand to.
@@ -99,33 +98,12 @@ pub struct Cell {
     pub backend: String,
     /// `none`, or a per-epoch departure rate in `(0, 1)`.
     pub churn: String,
-    /// Palette backend token (`list` or `bitset`) when the spec declares
-    /// the `palette` axis; `None` for specs that never mention it, so
-    /// their keys, seeds, and fingerprints are byte-identical to the
-    /// pre-axis format.
-    pub palette: Option<String>,
 }
 
 impl Cell {
     /// The canonical key: coordinates in a fixed order, the identity of
-    /// this cell in row logs and baseline tables. Specs without a
-    /// `palette` axis render exactly the historical six-coordinate key.
+    /// this cell in row logs and baseline tables.
     pub fn key(&self) -> String {
-        let mut key = self.instance_key();
-        if let Some(palette) = &self.palette {
-            key.push_str(" palette=");
-            key.push_str(palette);
-        }
-        key
-    }
-
-    /// The key of the *instance* this cell solves — every coordinate
-    /// except the palette backend, which changes the arithmetic of the
-    /// solver's palette probes but never the scenario. Cells that differ
-    /// only in `palette` share this key, and therefore their seed and
-    /// generated scenario, which is what makes a palette axis a span
-    /// equality experiment rather than two unrelated workloads.
-    pub fn instance_key(&self) -> String {
         format!(
             "class={} n={} sep={} solver={} backend={} churn={}",
             self.class.name(),
@@ -137,20 +115,11 @@ impl Cell {
         )
     }
 
-    /// Deterministic seed, derived from the [`instance_key`](Self::instance_key)
+    /// Deterministic seed, derived from the canonical [`key`](Self::key)
     /// alone — stable under spec reordering, grid splitting, and
-    /// resumption, and shared across palette backends of one instance.
+    /// resumption.
     pub fn seed(&self) -> u64 {
-        fnv1a64(self.instance_key().as_bytes())
-    }
-
-    /// The palette backend this cell runs on ([`PaletteKind::default`]
-    /// when the spec has no `palette` axis).
-    pub fn palette_kind(&self) -> PaletteKind {
-        self.palette
-            .as_deref()
-            .and_then(|t| t.parse().ok())
-            .unwrap_or_default()
+        fnv1a64(self.key().as_bytes())
     }
 
     /// Whether this cell runs the dynamic-churn simulation instead of a
@@ -169,7 +138,6 @@ struct GridAxes {
     solver: Vec<String>,
     backend: Vec<String>,
     churn: Vec<String>,
-    palette: Vec<Option<String>>,
 }
 
 /// A parsed, validated scenario spec.
@@ -261,31 +229,28 @@ impl LabSpec {
                         for solver in &grid.solver {
                             for backend in &grid.backend {
                                 for churn in &grid.churn {
-                                    for palette in &grid.palette {
-                                        let cell = Cell {
-                                            id: cells.len(),
-                                            class,
-                                            n,
-                                            sep: sep.clone(),
-                                            solver: solver.clone(),
-                                            backend: backend.clone(),
-                                            churn: churn.clone(),
-                                            palette: palette.clone(),
-                                        };
-                                        if !seen.insert(cell.key()) {
-                                            return Err(perr(
-                                                *at,
-                                                format!("duplicate cell `{}`", cell.key()),
-                                            ));
-                                        }
-                                        if cells.len() >= MAX_CELLS {
-                                            return Err(perr(
-                                                *at,
-                                                format!("spec expands past {MAX_CELLS} cells"),
-                                            ));
-                                        }
-                                        cells.push(cell);
+                                    let cell = Cell {
+                                        id: cells.len(),
+                                        class,
+                                        n,
+                                        sep: sep.clone(),
+                                        solver: solver.clone(),
+                                        backend: backend.clone(),
+                                        churn: churn.clone(),
+                                    };
+                                    if !seen.insert(cell.key()) {
+                                        return Err(perr(
+                                            *at,
+                                            format!("duplicate cell `{}`", cell.key()),
+                                        ));
                                     }
+                                    if cells.len() >= MAX_CELLS {
+                                        return Err(perr(
+                                            *at,
+                                            format!("spec expands past {MAX_CELLS} cells"),
+                                        ));
+                                    }
+                                    cells.push(cell);
                                 }
                             }
                         }
@@ -334,7 +299,6 @@ struct RawGrid {
     solver: Option<(usize, String)>,
     backend: Option<(usize, String)>,
     churn: Option<(usize, String)>,
-    palette: Option<(usize, String)>,
 }
 
 impl RawGrid {
@@ -346,12 +310,11 @@ impl RawGrid {
             "solver" => &mut self.solver,
             "backend" => &mut self.backend,
             "churn" => &mut self.churn,
-            "palette" => &mut self.palette,
             other => {
                 return Err(perr(
                     lineno,
                     format!(
-                        "unknown key `{other}` (grid keys: class, n, sep, solver, backend, churn, palette)"
+                        "unknown key `{other}` (grid keys: class, n, sep, solver, backend, churn)"
                     ),
                 ))
             }
@@ -455,17 +418,6 @@ impl RawGrid {
             }
         };
 
-        let palette = match self.palette {
-            None => vec![None],
-            Some((line, raw)) => raw
-                .split_whitespace()
-                .map(|t| match t.parse::<PaletteKind>() {
-                    Ok(_) => Ok(Some(t.to_string())),
-                    Err(e) => Err(perr(line, format!("`palette` axis: {e}"))),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-
         // Cross-axis rules. The churn simulation is a sequential corridor
         // dynamics loop at L(1,...,1); a grid that mixes a churn rate into
         // other classes or backends would silently mean something else, so
@@ -497,15 +449,6 @@ impl RawGrid {
                     ),
                 ));
             }
-            // The churn loop owns its workspaces inside the dynamics
-            // simulation; a palette axis there would be dead coordinates
-            // pretending to be an experiment.
-            if palette != [None] {
-                return Err(perr(
-                    churn_line,
-                    "a churn rate cannot combine with a `palette` axis",
-                ));
-            }
         }
         if has_static {
             let known = ssg_labeling::solver::default_registry().names();
@@ -527,7 +470,6 @@ impl RawGrid {
             solver,
             backend,
             churn,
-            palette,
         })
     }
 }
@@ -683,41 +625,20 @@ churn  = 0.05
     }
 
     #[test]
-    fn palette_axis_expands_but_never_perturbs_seeds() {
-        let with_axis = "name = p\n[grid]\nclass = corridor\nn = 32\npalette = list bitset\n";
-        let spec = LabSpec::parse(with_axis).unwrap();
-        assert_eq!(spec.cells().len(), 2);
-        let (list, bitset) = (&spec.cells()[0], &spec.cells()[1]);
-        assert_eq!(
-            list.key(),
-            "class=corridor n=32 sep=1,1 solver=auto backend=sequential churn=none palette=list"
-        );
-        assert_eq!(list.palette_kind(), PaletteKind::List);
-        assert_eq!(bitset.palette_kind(), PaletteKind::Bitset);
-        // Both palette cells solve the SAME instance: shared instance key,
-        // therefore shared seed, distinct canonical keys.
-        assert_eq!(list.instance_key(), bitset.instance_key());
-        assert_eq!(list.seed(), bitset.seed());
-        assert_ne!(list.key(), bitset.key());
-        // A spec without the axis renders the historical key format and
-        // the seed derived from it — palette never leaks in.
-        let without = LabSpec::parse("name = p\n[grid]\nclass = corridor\nn = 32\n").unwrap();
-        let cell = &without.cells()[0];
-        assert_eq!(cell.palette, None);
-        assert_eq!(cell.palette_kind(), PaletteKind::Bitset);
-        assert_eq!(cell.key(), cell.instance_key());
-        assert_eq!(cell.seed(), fnv1a64(cell.key().as_bytes()));
-        assert_eq!(cell.seed(), list.seed());
-    }
-
-    #[test]
-    fn palette_axis_rejects_bad_tokens_and_churn() {
-        let err = parse_err("name = x\n[grid]\nclass = corridor\nn = 8\npalette = avx512\n");
-        assert!(err.contains("unknown palette backend `avx512`") || err.contains("avx512"), "{err}");
-        let err = parse_err(
-            "name = x\n[grid]\nclass = corridor\nn = 8\nchurn = 0.1\npalette = list bitset\n",
-        );
-        assert!(err.contains("cannot combine with a `palette` axis"), "{err}");
+    fn retired_palette_key_is_a_typed_parse_error_with_its_line() {
+        // Run directories written while the lab had a `palette` axis pin
+        // their spec text; resuming one must fail cleanly, not panic.
+        let old = "name = p\n[grid]\nclass = corridor\nn = 32\npalette = list\n";
+        match LabSpec::parse(old) {
+            Err(SsgError::Parse { what, message }) => {
+                assert_eq!(what, "lab spec");
+                assert!(
+                    message.starts_with("line 5: unknown key `palette`"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

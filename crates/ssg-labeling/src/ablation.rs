@@ -8,10 +8,8 @@
 //!   (the textbook greedy). `O(n · span)` worst case.
 //!
 //! Both produce optimal spans (any extraction policy from `P_0` works);
-//! `bench_ablation` measures what the real backends behind
-//! [`crate::palette::PaletteOps`] — the intrusive linked list of
-//! [`crate::palette::PaletteFamily`] and the u64 word arenas of
-//! [`crate::palette::BitsetPalette`] — actually buy over them.
+//! `bench_ablation` measures what the intrusive linked list of
+//! [`crate::palette::PaletteFamily`] actually buys.
 
 use crate::spec::Labeling;
 use ssg_intervals::{Endpoint, IntervalRepresentation};

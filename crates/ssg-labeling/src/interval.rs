@@ -10,7 +10,7 @@ use crate::spec::Labeling;
 use crate::workspace::{ensure_dep, ensure_u32, Workspace};
 use ssg_graph::Vertex;
 use ssg_intervals::{Endpoint, IntervalRepresentation};
-use ssg_telemetry::{Counter, Hist, Metrics};
+use ssg_telemetry::{Counter, Metrics};
 
 /// Result of the optimal `L(1,...,1)` interval coloring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,7 +187,6 @@ fn l1_connected(
         metrics.add(Counter::PeelSteps, n as u64);
         metrics.add(Counter::PaletteProbes, palettes.probe_count());
         metrics.add(Counter::PaletteWordScans, palettes.word_scan_count());
-        metrics.observe_ns(Hist::PalettePop, palettes.pop_word_scan_count());
     }
     lambda
 }
@@ -414,7 +413,6 @@ fn approx_connected(
         metrics.add(Counter::PeelSteps, n as u64);
         metrics.add(Counter::PaletteProbes, palettes.probe_count());
         metrics.add(Counter::PaletteWordScans, palettes.word_scan_count());
-        metrics.observe_ns(Hist::PalettePop, palettes.pop_word_scan_count());
     }
 }
 

@@ -40,7 +40,6 @@ pub mod workspace;
 pub use incremental::{
     FallbackReason, IncrementalConfig, IncrementalOutcome, IncrementalSolver, UNCOLORED,
 };
-pub use palette::{BitsetPalette, PaletteBackend, PaletteFamily, PaletteKind, PaletteOps};
 pub use solver::{InstanceKind, Problem, ProblemInstance, Solver, SolverRegistry};
 pub use spec::{
     all_violations, verify_labeling, Labeling, SeparationError, SeparationVector, Violation,

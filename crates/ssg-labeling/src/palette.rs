@@ -1,221 +1,24 @@
-//! The palette family `P_0, ..., P_t` of the paper's interval algorithms
-//! (Figure 1 and §3.2), behind a pluggable backend abstraction.
+//! The palette family `P_0, ..., P_t` of the paper's interval and tree
+//! algorithms (Figure 1, §3.2 and Figure 5), implemented exactly as
+//! Theorem 1's complexity proof prescribes: doubly linked lists threaded
+//! through a color-indexed table `C[c]`, so that insertion, extraction of
+//! a *given* color, and extraction of *some* color are all `O(1)`.
 //!
-//! Two implementations share the [`PaletteOps`] surface:
+//! The family keeps two deterministic work tallies:
 //!
-//! * [`PaletteFamily`] — the reference backend, implemented exactly as
-//!   Theorem 1's complexity proof prescribes: doubly linked lists threaded
-//!   through a color-indexed table `C[c]`, so that insertion, extraction of
-//!   a *given* color, and extraction of *some* color are all `O(1)`.
-//! * [`BitsetPalette`] — the hot-loop backend. Each level keeps an
-//!   append-ordered arena of linked colors plus a `u64` liveness word per
-//!   64 arena slots; `pop` is a find-last-set word scan from a monotone
-//!   top-word hint, and the δ-gap extraction of the §4.2 tree
-//!   approximation tests each candidate against a precomputed
-//!   `[lo, hi]` separation window with branchless compares instead of a
-//!   per-color predicate call. Because a re-link always appends, arena
-//!   position order *is* recency order, so every operation observes the
-//!   exact LIFO semantics of the linked list — labelings are bit-identical
-//!   across backends (proven by the differential suites in this module and
-//!   `tests/palette_differential.rs`).
-//!
-//! Solvers hold a [`PaletteBackend`] — a two-variant enum dispatching to
-//! either backend with `#[inline]` matches. The `bench_palette` criterion
-//! microbench measured enum and `&mut dyn PaletteOps` dispatch within
-//! noise of each other on the pop-dominated replay traces (E17/dispatch),
-//! so the enum is kept for its simpler ownership story (a plain value in
-//! the workspace, no boxing) and because it leaves every call site
-//! monomorphic and inlinable; the trait stays dyn-safe so the microbench
-//! can keep measuring that gap and so external code can stay generic.
-//!
-//! Both backends maintain two deterministic work tallies:
-//!
-//! * `probe_count()` — palette entries *examined* by `pop`/`pop_where`/
-//!   `pop_separated` (the paper-facing probe counter, identical across
-//!   backends on identical op sequences).
-//! * `word_scan_count()` — backend structure words read or written per
-//!   operation (list pointer splices vs bitset word updates), the
-//!   per-probe *work* counter that quantifies the bitset win.
+//! * [`probe_count`](PaletteFamily::probe_count) — palette entries
+//!   *examined* by `pop`/`pop_where` (the paper-facing probe counter).
+//! * [`word_scan_count`](PaletteFamily::word_scan_count) — list-table
+//!   words read or written per operation (pointer splices, level and
+//!   length bookkeeping), the per-probe *work* behind the
+//!   `palette_word_scans` counter.
 
 /// Sentinel for "no color" in the intrusive lists (also used by callers as
-/// a "no parent color" marker for [`PaletteOps::pop_separated`]).
+/// a "no parent color" marker).
 const NIL: u32 = u32::MAX;
 
-/// Which palette backend a workspace should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PaletteKind {
-    /// The reference doubly-linked-list family ([`PaletteFamily`]).
-    List,
-    /// The u64-word bitset arena ([`BitsetPalette`]) — the default: its
-    /// labelings are bit-identical to the list backend at lower cost.
-    #[default]
-    Bitset,
-}
-
-impl PaletteKind {
-    /// Both kinds, in canonical (list-first) order.
-    pub const ALL: [PaletteKind; 2] = [PaletteKind::List, PaletteKind::Bitset];
-
-    /// Canonical lowercase name (`"list"` / `"bitset"`), as accepted by
-    /// [`parse`](Self::parse) and the CLI `--palette` flag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PaletteKind::List => "list",
-            PaletteKind::Bitset => "bitset",
-        }
-    }
-
-    /// Parses a canonical name; the error names the accepted values.
-    pub fn parse(s: &str) -> Result<PaletteKind, String> {
-        match s {
-            "list" => Ok(PaletteKind::List),
-            "bitset" => Ok(PaletteKind::Bitset),
-            other => Err(format!("unknown palette backend '{other}' (expected list|bitset)")),
-        }
-    }
-}
-
-impl std::str::FromStr for PaletteKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PaletteKind::parse(s)
-    }
-}
-
-impl std::fmt::Display for PaletteKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The operations the solvers use against a palette family. Dyn-safe
-/// (see [`pop_where_dyn`](Self::pop_where_dyn)); the generic
-/// [`pop_where`](Self::pop_where) convenience is provided for sized uses.
-///
-/// Semantics contract (shared by every backend, differentially tested):
-/// colors live at a *level* `0..=t`, are *linked* (listed) or *parked*
-/// (tracked but extractable only by id), `pop` returns the most recently
-/// linked color of a level, and `pop_where`/`pop_separated` scan linked
-/// colors most-recent-first.
-pub trait PaletteOps {
-    /// Reinitializes to the state a fresh `new(t, pool)` would produce —
-    /// `t + 1` empty palettes, colors `0..pool` linked into `P_0` in LIFO
-    /// order, zeroed probe/word tallies — retaining buffer capacity so a
-    /// warm [`Workspace`](crate::workspace::Workspace) reruns without
-    /// heap allocation.
-    fn reset(&mut self, t: u32, pool: usize);
-
-    /// Sum of the capacities (in elements) of the internal buffers; equal
-    /// footprints across repeated same-sized solves certify that no
-    /// buffer regrew.
-    fn capacity_footprint(&self) -> usize;
-
-    /// Number of palettes (`t + 1`).
-    fn num_levels(&self) -> usize;
-
-    /// Total colors ever introduced.
-    fn pool_size(&self) -> usize;
-
-    /// Introduces the next color (id `pool_size()`), linked into `P_0`;
-    /// returns its id.
-    fn grow(&mut self) -> u32;
-
-    /// The palette index currently holding color `c`.
-    fn level_of(&self, c: u32) -> u32;
-
-    /// Whether `c` is linked into its palette's list (not parked).
-    fn is_linked(&self, c: u32) -> bool;
-
-    /// Number of linked colors in palette `j`.
-    fn len(&self, j: u32) -> usize;
-
-    /// Whether palette `j` has no linked colors.
-    fn is_empty(&self, j: u32) -> bool {
-        self.len(j) == 0
-    }
-
-    /// Links `c` into palette `j` (front insertion) and records its level.
-    /// `c` must not currently be linked.
-    fn link(&mut self, j: u32, c: u32);
-
-    /// Unlinks `c` from its palette list, keeping its level (parks it).
-    fn unlink(&mut self, c: u32);
-
-    /// Moves a linked color to palette `j` (unlink + link).
-    fn move_to(&mut self, c: u32, j: u32);
-
-    /// Sets the level of a *parked* color without linking it.
-    fn set_parked_level(&mut self, c: u32, j: u32);
-
-    /// Pops some color from palette `j` (the most recently inserted), or
-    /// `None` when the palette is empty.
-    fn pop(&mut self, j: u32) -> Option<u32>;
-
-    /// Dyn-safe [`pop_where`](Self::pop_where): pops the first linked
-    /// color of palette `j` satisfying `pred`, scanning
-    /// most-recent-first.
-    fn pop_where_dyn(&mut self, j: u32, pred: &mut dyn FnMut(u32) -> bool) -> Option<u32>;
-
-    /// Pops the first linked color `c` of palette `j` (most-recent-first)
-    /// with `|c - parent| >= delta1`, or any color when `parent` is
-    /// `u32::MAX` or `delta1 <= 1`. This is the §4.2 tree-approximation
-    /// extraction; backends may specialize it (the bitset backend tests a
-    /// precomputed `[lo, hi]` forbidden window with branchless compares
-    /// instead of calling a predicate per color). Examines exactly the
-    /// colors the equivalent `pop_where` would.
-    fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32>;
-
-    /// Palette entries examined by `pop`/`pop_where`/`pop_separated`
-    /// since creation/reset — the "palette probe" counter reported by
-    /// telemetry. Identical across backends on identical op sequences.
-    fn probe_count(&self) -> u64;
-
-    /// Backend structure words read or written by palette operations
-    /// since creation/reset (list pointer-table splices vs bitset
-    /// word/arena updates, including shared level bookkeeping). The
-    /// deterministic per-probe *work* tally behind the
-    /// `palette_word_scans` counter.
-    fn word_scan_count(&self) -> u64;
-
-    /// The [`word_scan_count`](Self::word_scan_count) portion charged by
-    /// `pop`/`pop_where`/`pop_separated` — the extraction ("probe phase")
-    /// work alone, excluding `link`/`unlink`/`grow` bookkeeping that both
-    /// backends pay near-identically. This is the tally behind the
-    /// `palette_pop` histogram and the headline list-vs-bitset ratio:
-    /// a list pop costs a head read plus a full pointer splice, a bitset
-    /// pop costs one word scan plus a bit clear.
-    fn pop_word_scan_count(&self) -> u64;
-
-    /// Appends the linked colors of palette `j`, most-recent-first, onto
-    /// `out` without clearing it — callers iterating every level reuse
-    /// one buffer instead of re-walking and re-allocating per level.
-    fn collect_into(&self, j: u32, out: &mut Vec<u32>);
-
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning most-recent-first. The predicate may carry mutable state.
-    fn pop_where<F: FnMut(u32) -> bool>(&mut self, j: u32, mut pred: F) -> Option<u32>
-    where
-        Self: Sized,
-    {
-        self.pop_where_dyn(j, &mut pred)
-    }
-
-    /// The linked colors of palette `j`, most-recent-first (allocating
-    /// convenience over [`collect_into`](Self::collect_into)).
-    fn collect(&self, j: u32) -> Vec<u32>
-    where
-        Self: Sized,
-    {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
-        out
-    }
-}
-
 /// A family of `t + 1` palettes over colors `0..pool_size`, with O(1)
-/// insert / remove / pop and per-color level tracking — the reference
-/// linked-list backend.
+/// insert / remove / pop and per-color level tracking.
 ///
 /// A color is always *assigned a level* once introduced, but may be
 /// temporarily **parked** (tracked at its level yet not linked into the
@@ -231,7 +34,6 @@ pub struct PaletteFamily {
     len: Vec<usize>,
     probes: u64,
     word_scans: u64,
-    pop_word_scans: u64,
 }
 
 impl Default for PaletteFamily {
@@ -251,19 +53,22 @@ impl PaletteFamily {
             prev: Vec::new(),
             level: Vec::new(),
             linked: Vec::new(),
-            head: vec![NIL; t as usize + 1],
-            len: vec![0; t as usize + 1],
+            head: Vec::new(),
+            len: Vec::new(),
             probes: 0,
             word_scans: 0,
-            pop_word_scans: 0,
         };
-        for _ in 0..pool {
-            f.grow();
-        }
+        f.reset(t, pool);
         f
     }
 
-    /// See [`PaletteOps::reset`].
+    /// Reinitializes the family to exactly the state [`new`](Self::new)
+    /// would produce — `t + 1` empty palettes, a fresh pool of `pool`
+    /// colors linked into `P_0` in the same LIFO order, and zeroed
+    /// probe/word tallies — while keeping every previously grown buffer's
+    /// capacity. This is what lets a warm
+    /// [`Workspace`](crate::workspace::Workspace) rerun an algorithm
+    /// without heap allocation.
     pub fn reset(&mut self, t: u32, pool: usize) {
         self.next.clear();
         self.prev.clear();
@@ -275,13 +80,14 @@ impl PaletteFamily {
         self.len.resize(t as usize + 1, 0);
         self.probes = 0;
         self.word_scans = 0;
-        self.pop_word_scans = 0;
         for _ in 0..pool {
             self.grow();
         }
     }
 
-    /// See [`PaletteOps::capacity_footprint`].
+    /// Sum of the capacities (in elements) of the family's internal
+    /// buffers. Used by the workspace allocation tally: equal footprints
+    /// across repeated same-sized solves certify that no buffer regrew.
     pub fn capacity_footprint(&self) -> usize {
         self.next.capacity()
             + self.prev.capacity()
@@ -395,18 +201,14 @@ impl PaletteFamily {
     /// Pops some color from palette `j` (the most recently inserted), or
     /// `None` when the palette is empty.
     pub fn pop(&mut self, j: u32) -> Option<u32> {
-        let before = self.word_scans;
         self.probes += 1;
         self.word_scans += 1;
         let h = self.head[j as usize];
-        let out = if h == NIL {
-            None
-        } else {
-            self.unlink(h);
-            Some(h)
-        };
-        self.pop_word_scans += self.word_scans - before;
-        out
+        if h == NIL {
+            return None;
+        }
+        self.unlink(h);
+        Some(h)
     }
 
     /// Pops the first linked color of palette `j` satisfying `pred`,
@@ -414,651 +216,42 @@ impl PaletteFamily {
     /// predicate rejects at most `2(δ1-1)` colors — O(δ1) there. The
     /// predicate may carry mutable state.
     pub fn pop_where(&mut self, j: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        let before = self.word_scans;
         let mut c = self.head[j as usize];
-        let mut out = None;
         while c != NIL {
             self.probes += 1;
             self.word_scans += 1;
             if pred(c) {
                 self.unlink(c);
-                out = Some(c);
-                break;
+                return Some(c);
             }
             c = self.next[c as usize];
         }
-        self.pop_word_scans += self.word_scans - before;
-        out
+        None
     }
 
-    /// See [`PaletteOps::pop_separated`].
-    pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-        if parent == NIL || delta1 <= 1 {
-            return self.pop(j);
-        }
-        let lo = parent.saturating_sub(delta1 - 1);
-        let hi = parent.saturating_add(delta1 - 1);
-        self.pop_where(j, move |c| c < lo || c > hi)
-    }
-
-    /// See [`PaletteOps::probe_count`].
+    /// Palette entries examined by `pop`/`pop_where` since creation or the
+    /// last [`reset`](Self::reset) — the "palette probe" counter reported
+    /// by telemetry.
     pub fn probe_count(&self) -> u64 {
         self.probes
     }
 
-    /// See [`PaletteOps::word_scan_count`].
+    /// List-table words read or written by palette operations since
+    /// creation or the last [`reset`](Self::reset) — the deterministic
+    /// work tally behind the `palette_word_scans` counter.
     pub fn word_scan_count(&self) -> u64 {
         self.word_scans
     }
 
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        self.pop_word_scans
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
+    /// The linked colors of palette `j`, front to back (test helper;
+    /// O(len); allocates).
+    pub fn collect(&self, j: u32) -> Vec<u32> {
+        let mut out = Vec::new();
         let mut c = self.head[j as usize];
         while c != NIL {
             out.push(c);
             c = self.next[c as usize];
         }
-    }
-
-    /// The linked colors of palette `j`, front to back (test helper;
-    /// O(len); allocates — loops over levels should reuse a buffer with
-    /// [`collect_into`](Self::collect_into)).
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
-        out
-    }
-}
-
-/// One level's state in a [`BitsetPalette`]: an append-ordered arena of
-/// the colors ever linked here since the last reset, with one liveness
-/// bit per slot packed into `u64` words. Slots are never reused — a
-/// re-link appends — so *position order is recency order* and a
-/// find-last-set scan yields exact LIFO extraction.
-#[derive(Debug, Clone, Default)]
-struct LevelArena {
-    /// Colors in link order; slot index = liveness bit index.
-    order: Vec<u32>,
-    /// One liveness bit per `order` slot, 64 per word.
-    bits: Vec<u64>,
-    /// Linked (live) colors at this level.
-    len: usize,
-    /// Word index upper bound for set bits: no word above `scan_top` has
-    /// a set bit. Raised by `link` (≤ 1 per 64 links), lowered by `pop`
-    /// hits, so downward scans amortize to O(1) per operation.
-    scan_top: usize,
-}
-
-impl LevelArena {
-    fn clear(&mut self) {
-        self.order.clear();
-        self.bits.clear();
-        self.len = 0;
-        self.scan_top = 0;
-    }
-}
-
-/// The u64-word bitset palette backend: per-level append-order arenas
-/// with packed liveness words (the private `LevelArena`), plus per-color
-/// `pos`/`level` tables. Unlike the list backend there is *no* separate
-/// linked-flag table — linked-ness is derived from the liveness bit at
-/// `(level[c], pos[c])` (see [`is_linked`](Self::is_linked)), which saves
-/// one table write in every `link`/`unlink`/`pop`.
-///
-/// `pop` scans liveness words downward from the level's `scan_top` hint
-/// and takes the highest set bit — the most recent link — in one
-/// `leading_zeros`. `pop_where`/`pop_separated` iterate set bits
-/// most-significant-first, so candidates are examined in exactly the
-/// order the linked list would examine them and `probe_count()` matches
-/// the list backend probe-for-probe.
-#[derive(Debug, Clone)]
-pub struct BitsetPalette {
-    /// Color → its slot in its level's arena (valid while linked; after
-    /// an unlink it keeps pointing at the now-dead slot, which is what
-    /// lets [`is_linked`](Self::is_linked) work without a flag table).
-    pos: Vec<u32>,
-    level: Vec<u32>,
-    levels: Vec<LevelArena>,
-    probes: u64,
-    word_scans: u64,
-    pop_word_scans: u64,
-}
-
-impl Default for BitsetPalette {
-    /// The cold state of a workspace arena: `P_0` alone, empty pool.
-    fn default() -> Self {
-        Self::new(0, 0)
-    }
-}
-
-impl BitsetPalette {
-    /// Creates palettes `P_0..P_t` with an initial pool of `pool` colors
-    /// (`0..pool`), all linked into `P_0`.
-    pub fn new(t: u32, pool: usize) -> Self {
-        let mut p = BitsetPalette {
-            pos: Vec::new(),
-            level: Vec::new(),
-            levels: Vec::new(),
-            probes: 0,
-            word_scans: 0,
-            pop_word_scans: 0,
-        };
-        p.reset(t, pool);
-        p
-    }
-
-    /// See [`PaletteOps::reset`].
-    pub fn reset(&mut self, t: u32, pool: usize) {
-        self.pos.clear();
-        self.level.clear();
-        let n = t as usize + 1;
-        self.levels.truncate(n);
-        for arena in &mut self.levels {
-            arena.clear();
-        }
-        while self.levels.len() < n {
-            self.levels.push(LevelArena::default());
-        }
-        self.probes = 0;
-        self.word_scans = 0;
-        self.pop_word_scans = 0;
-        // Bulk pool fill: identical observable state to `pool` front
-        // insertions into P_0 (slot i holds color i, all live), without
-        // per-color splicing.
-        if pool > 0 {
-            self.pos.extend(0..pool as u32);
-            self.level.resize(pool, 0);
-            let arena = &mut self.levels[0];
-            arena.order.extend(0..pool as u32);
-            arena.bits.resize(pool / 64, u64::MAX);
-            if !pool.is_multiple_of(64) {
-                arena.bits.push((1u64 << (pool % 64)) - 1);
-            }
-            arena.len = pool;
-            arena.scan_top = (pool - 1) / 64;
-            // Word tally: three per-color table writes + the packed words.
-            self.word_scans += 3 * pool as u64 + arena.bits.len() as u64;
-        }
-    }
-
-    /// See [`PaletteOps::capacity_footprint`].
-    pub fn capacity_footprint(&self) -> usize {
-        self.pos.capacity()
-            + self.level.capacity()
-            + self.levels.capacity()
-            + self
-                .levels
-                .iter()
-                .map(|a| a.order.capacity() + a.bits.capacity())
-                .sum::<usize>()
-    }
-
-    /// Number of palettes (`t + 1`).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Total colors ever introduced.
-    pub fn pool_size(&self) -> usize {
-        self.level.len()
-    }
-
-    /// Introduces the next color (id `pool_size()`), linked into `P_0`.
-    /// Returns its id.
-    pub fn grow(&mut self) -> u32 {
-        let c = self.level.len() as u32;
-        self.pos.push(0);
-        self.level.push(0);
-        self.word_scans += 2;
-        self.link(0, c);
-        c
-    }
-
-    /// The palette index currently holding color `c`.
-    #[inline]
-    pub fn level_of(&self, c: u32) -> u32 {
-        self.level[c as usize]
-    }
-
-    /// Whether `c` is linked into its palette's arena (not parked),
-    /// derived from the liveness bit instead of a flag table: `c` is
-    /// linked iff the slot `(level[c], pos[c])` still *owns* `c` and its
-    /// bit is live. Dead slots never revive (a re-link appends a fresh
-    /// slot), and `set_parked_level` re-points `level[c]` at an arena
-    /// where slot `pos[c]` either holds a different color or holds `c`'s
-    /// own dead slot — the ownership check rejects both.
-    #[inline]
-    pub fn is_linked(&self, c: u32) -> bool {
-        let arena = &self.levels[self.level[c as usize] as usize];
-        let pos = self.pos[c as usize] as usize;
-        pos < arena.order.len()
-            && arena.order[pos] == c
-            && arena.bits[pos / 64] & (1u64 << (pos % 64)) != 0
-    }
-
-    /// Number of linked colors in palette `j`.
-    #[inline]
-    pub fn len(&self, j: u32) -> usize {
-        self.levels[j as usize].len
-    }
-
-    /// Whether palette `j` has no linked colors.
-    #[inline]
-    pub fn is_empty(&self, j: u32) -> bool {
-        self.levels[j as usize].len == 0
-    }
-
-    /// Links `c` into palette `j` (arena append = front insertion in
-    /// recency order) and records its level. `c` must not be linked.
-    pub fn link(&mut self, j: u32, c: u32) {
-        debug_assert!(!self.is_linked(c), "color {c} already linked");
-        let arena = &mut self.levels[j as usize];
-        let pos = arena.order.len();
-        arena.order.push(c);
-        let (w, b) = (pos / 64, pos % 64);
-        if w == arena.bits.len() {
-            arena.bits.push(0);
-        }
-        arena.bits[w] |= 1u64 << b;
-        if w > arena.scan_top {
-            arena.scan_top = w;
-        }
-        arena.len += 1;
-        self.pos[c as usize] = pos as u32;
-        self.level[c as usize] = j;
-        // Word tally: pos, arena slot, liveness word read+write, level.
-        self.word_scans += 5;
-    }
-
-    /// Unlinks `c` (clears its liveness bit), keeping its level. The
-    /// color is then *parked*; its arena slot stays dead forever.
-    pub fn unlink(&mut self, c: u32) {
-        debug_assert!(self.is_linked(c), "color {c} not linked");
-        let j = self.level[c as usize] as usize;
-        let pos = self.pos[c as usize] as usize;
-        let arena = &mut self.levels[j];
-        arena.bits[pos / 64] &= !(1u64 << (pos % 64));
-        arena.len -= 1;
-        // Word tally: level, pos, liveness word read+write. Parking is
-        // free: the dead bit itself records it.
-        self.word_scans += 4;
-    }
-
-    /// Moves a linked color to palette `j` (unlink + link).
-    pub fn move_to(&mut self, c: u32, j: u32) {
-        self.unlink(c);
-        self.link(j, c);
-    }
-
-    /// Sets the level of a *parked* color without linking it.
-    pub fn set_parked_level(&mut self, c: u32, j: u32) {
-        debug_assert!(!self.is_linked(c));
-        self.word_scans += 1;
-        self.level[c as usize] = j;
-    }
-
-    /// Pops the most recently linked color of palette `j` by find-last-set
-    /// over the liveness words, or `None` when the palette is empty.
-    pub fn pop(&mut self, j: u32) -> Option<u32> {
-        let before = self.word_scans;
-        self.probes += 1;
-        let arena = &mut self.levels[j as usize];
-        if arena.len == 0 {
-            self.word_scans += 1;
-            self.pop_word_scans += 1;
-            return None;
-        }
-        let mut w = arena.scan_top;
-        loop {
-            self.word_scans += 1;
-            let word = arena.bits[w];
-            if word != 0 {
-                let bit = 63 - word.leading_zeros() as usize;
-                arena.bits[w] = word & !(1u64 << bit);
-                arena.scan_top = w;
-                arena.len -= 1;
-                let c = arena.order[w * 64 + bit];
-                // Word tally: liveness write, arena slot read. No parked
-                // flag to maintain — the cleared bit is the record.
-                self.word_scans += 2;
-                self.pop_word_scans += self.word_scans - before;
-                return Some(c);
-            }
-            debug_assert!(w > 0, "len > 0 but no set bit at or below scan_top");
-            w -= 1;
-        }
-    }
-
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// iterating set bits most-significant-first (= most recent link
-    /// first, the linked list's scan order). The predicate may carry
-    /// mutable state.
-    pub fn pop_where(&mut self, j: u32, pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        self.pop_scan(j, pred)
-    }
-
-    /// See [`PaletteOps::pop_separated`]: branchless `[lo, hi]` forbidden
-    /// window instead of a per-color predicate call.
-    pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-        if parent == NIL || delta1 <= 1 {
-            return self.pop(j);
-        }
-        let lo = parent.saturating_sub(delta1 - 1);
-        let hi = parent.saturating_add(delta1 - 1);
-        self.pop_scan(j, |c| (c < lo) | (c > hi))
-    }
-
-    /// Shared most-recent-first accepted-candidate scan for
-    /// [`pop_where`](Self::pop_where) / [`pop_separated`](Self::pop_separated).
-    fn pop_scan(&mut self, j: u32, mut accept: impl FnMut(u32) -> bool) -> Option<u32> {
-        let before = self.word_scans;
-        let arena = &mut self.levels[j as usize];
-        if arena.len == 0 {
-            self.word_scans += 1;
-            self.pop_word_scans += 1;
-            return None;
-        }
-        let mut w = arena.scan_top as isize;
-        while w >= 0 {
-            self.word_scans += 1;
-            let mut word = arena.bits[w as usize];
-            while word != 0 {
-                let bit = 63 - word.leading_zeros() as usize;
-                let c = arena.order[w as usize * 64 + bit];
-                self.probes += 1;
-                self.word_scans += 1;
-                if accept(c) {
-                    arena.bits[w as usize] &= !(1u64 << bit);
-                    arena.len -= 1;
-                    self.word_scans += 1;
-                    self.pop_word_scans += self.word_scans - before;
-                    return Some(c);
-                }
-                word &= !(1u64 << bit);
-            }
-            w -= 1;
-        }
-        self.pop_word_scans += self.word_scans - before;
-        None
-    }
-
-    /// See [`PaletteOps::probe_count`].
-    pub fn probe_count(&self) -> u64 {
-        self.probes
-    }
-
-    /// See [`PaletteOps::word_scan_count`].
-    pub fn word_scan_count(&self) -> u64 {
-        self.word_scans
-    }
-
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        self.pop_word_scans
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
-        let arena = &self.levels[j as usize];
-        if arena.len == 0 {
-            return;
-        }
-        for w in (0..=arena.scan_top.min(arena.bits.len().saturating_sub(1))).rev() {
-            let mut word = arena.bits[w];
-            while word != 0 {
-                let bit = 63 - word.leading_zeros() as usize;
-                out.push(arena.order[w * 64 + bit]);
-                word &= !(1u64 << bit);
-            }
-        }
-    }
-
-    /// The linked colors of palette `j`, most-recent-first.
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
-        out
-    }
-}
-
-macro_rules! forward_palette_ops {
-    ($ty:ty) => {
-        impl PaletteOps for $ty {
-            fn reset(&mut self, t: u32, pool: usize) {
-                <$ty>::reset(self, t, pool)
-            }
-            fn capacity_footprint(&self) -> usize {
-                <$ty>::capacity_footprint(self)
-            }
-            fn num_levels(&self) -> usize {
-                <$ty>::num_levels(self)
-            }
-            fn pool_size(&self) -> usize {
-                <$ty>::pool_size(self)
-            }
-            fn grow(&mut self) -> u32 {
-                <$ty>::grow(self)
-            }
-            fn level_of(&self, c: u32) -> u32 {
-                <$ty>::level_of(self, c)
-            }
-            fn is_linked(&self, c: u32) -> bool {
-                <$ty>::is_linked(self, c)
-            }
-            fn len(&self, j: u32) -> usize {
-                <$ty>::len(self, j)
-            }
-            fn is_empty(&self, j: u32) -> bool {
-                <$ty>::is_empty(self, j)
-            }
-            fn link(&mut self, j: u32, c: u32) {
-                <$ty>::link(self, j, c)
-            }
-            fn unlink(&mut self, c: u32) {
-                <$ty>::unlink(self, c)
-            }
-            fn move_to(&mut self, c: u32, j: u32) {
-                <$ty>::move_to(self, c, j)
-            }
-            fn set_parked_level(&mut self, c: u32, j: u32) {
-                <$ty>::set_parked_level(self, c, j)
-            }
-            fn pop(&mut self, j: u32) -> Option<u32> {
-                <$ty>::pop(self, j)
-            }
-            fn pop_where_dyn(&mut self, j: u32, pred: &mut dyn FnMut(u32) -> bool) -> Option<u32> {
-                <$ty>::pop_where(self, j, |c| pred(c))
-            }
-            fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-                <$ty>::pop_separated(self, j, parent, delta1)
-            }
-            fn probe_count(&self) -> u64 {
-                <$ty>::probe_count(self)
-            }
-            fn word_scan_count(&self) -> u64 {
-                <$ty>::word_scan_count(self)
-            }
-            fn pop_word_scan_count(&self) -> u64 {
-                <$ty>::pop_word_scan_count(self)
-            }
-            fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
-                <$ty>::collect_into(self, j, out)
-            }
-        }
-    };
-}
-
-forward_palette_ops!(PaletteFamily);
-forward_palette_ops!(BitsetPalette);
-forward_palette_ops!(PaletteBackend);
-
-/// Enum-dispatched palette backend held by every
-/// [`Workspace`](crate::workspace::Workspace). Both variants implement
-/// the same observable semantics (differentially tested), so solvers are
-/// backend-agnostic and labelings are bit-identical across variants.
-#[derive(Debug, Clone)]
-pub enum PaletteBackend {
-    /// The reference linked-list family.
-    List(PaletteFamily),
-    /// The u64-word bitset arena (default).
-    Bitset(BitsetPalette),
-}
-
-impl Default for PaletteBackend {
-    fn default() -> Self {
-        PaletteBackend::Bitset(BitsetPalette::default())
-    }
-}
-
-macro_rules! on_backend {
-    ($self:expr, $p:ident => $body:expr) => {
-        match $self {
-            PaletteBackend::List($p) => $body,
-            PaletteBackend::Bitset($p) => $body,
-        }
-    };
-}
-
-impl PaletteBackend {
-    /// A cold backend of the given kind (empty pool, `P_0` alone).
-    pub fn with_kind(kind: PaletteKind) -> Self {
-        match kind {
-            PaletteKind::List => PaletteBackend::List(PaletteFamily::default()),
-            PaletteKind::Bitset => PaletteBackend::Bitset(BitsetPalette::default()),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> PaletteKind {
-        match self {
-            PaletteBackend::List(_) => PaletteKind::List,
-            PaletteBackend::Bitset(_) => PaletteKind::Bitset,
-        }
-    }
-
-    /// See [`PaletteOps::reset`].
-    #[inline]
-    pub fn reset(&mut self, t: u32, pool: usize) {
-        on_backend!(self, p => p.reset(t, pool))
-    }
-
-    /// See [`PaletteOps::capacity_footprint`].
-    pub fn capacity_footprint(&self) -> usize {
-        on_backend!(self, p => p.capacity_footprint())
-    }
-
-    /// Number of palettes (`t + 1`).
-    pub fn num_levels(&self) -> usize {
-        on_backend!(self, p => p.num_levels())
-    }
-
-    /// Total colors ever introduced.
-    pub fn pool_size(&self) -> usize {
-        on_backend!(self, p => p.pool_size())
-    }
-
-    /// Introduces the next color (id `pool_size()`), linked into `P_0`.
-    #[inline]
-    pub fn grow(&mut self) -> u32 {
-        on_backend!(self, p => p.grow())
-    }
-
-    /// The palette index currently holding color `c`.
-    #[inline]
-    pub fn level_of(&self, c: u32) -> u32 {
-        on_backend!(self, p => p.level_of(c))
-    }
-
-    /// Whether `c` is linked into its palette's list (not parked).
-    #[inline]
-    pub fn is_linked(&self, c: u32) -> bool {
-        on_backend!(self, p => p.is_linked(c))
-    }
-
-    /// Number of linked colors in palette `j`.
-    #[inline]
-    pub fn len(&self, j: u32) -> usize {
-        on_backend!(self, p => p.len(j))
-    }
-
-    /// Whether palette `j` has no linked colors.
-    #[inline]
-    pub fn is_empty(&self, j: u32) -> bool {
-        on_backend!(self, p => p.is_empty(j))
-    }
-
-    /// Links `c` into palette `j` (front insertion in recency order).
-    #[inline]
-    pub fn link(&mut self, j: u32, c: u32) {
-        on_backend!(self, p => p.link(j, c))
-    }
-
-    /// Unlinks `c`, keeping its level (parks it).
-    #[inline]
-    pub fn unlink(&mut self, c: u32) {
-        on_backend!(self, p => p.unlink(c))
-    }
-
-    /// Moves a linked color to palette `j`.
-    #[inline]
-    pub fn move_to(&mut self, c: u32, j: u32) {
-        on_backend!(self, p => p.move_to(c, j))
-    }
-
-    /// Sets the level of a *parked* color without linking it.
-    #[inline]
-    pub fn set_parked_level(&mut self, c: u32, j: u32) {
-        on_backend!(self, p => p.set_parked_level(c, j))
-    }
-
-    /// Pops the most recently linked color of palette `j`.
-    #[inline]
-    pub fn pop(&mut self, j: u32) -> Option<u32> {
-        on_backend!(self, p => p.pop(j))
-    }
-
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning most-recent-first; the predicate may carry mutable state.
-    #[inline]
-    pub fn pop_where(&mut self, j: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        on_backend!(self, p => p.pop_where(j, &mut pred))
-    }
-
-    /// See [`PaletteOps::pop_separated`].
-    #[inline]
-    pub fn pop_separated(&mut self, j: u32, parent: u32, delta1: u32) -> Option<u32> {
-        on_backend!(self, p => p.pop_separated(j, parent, delta1))
-    }
-
-    /// See [`PaletteOps::probe_count`].
-    pub fn probe_count(&self) -> u64 {
-        on_backend!(self, p => p.probe_count())
-    }
-
-    /// See [`PaletteOps::word_scan_count`].
-    pub fn word_scan_count(&self) -> u64 {
-        on_backend!(self, p => p.word_scan_count())
-    }
-
-    /// See [`PaletteOps::pop_word_scan_count`].
-    pub fn pop_word_scan_count(&self) -> u64 {
-        on_backend!(self, p => p.pop_word_scan_count())
-    }
-
-    /// See [`PaletteOps::collect_into`].
-    pub fn collect_into(&self, j: u32, out: &mut Vec<u32>) {
-        on_backend!(self, p => p.collect_into(j, out))
-    }
-
-    /// The linked colors of palette `j`, most-recent-first.
-    pub fn collect(&self, j: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.collect_into(j, &mut out);
         out
     }
 }
@@ -1067,353 +260,136 @@ impl PaletteBackend {
 mod tests {
     use super::*;
 
-    /// Runs a scenario against both backends and asserts identical
-    /// observable results.
-    fn on_both(scenario: impl Fn(&mut PaletteBackend) -> Vec<u32>) {
-        let mut list = PaletteBackend::with_kind(PaletteKind::List);
-        let mut bitset = PaletteBackend::with_kind(PaletteKind::Bitset);
-        let a = scenario(&mut list);
-        let b = scenario(&mut bitset);
-        assert_eq!(a, b, "list and bitset backends diverged");
-    }
-
-    #[test]
-    fn kind_parses_and_renders() {
-        assert_eq!(PaletteKind::parse("list"), Ok(PaletteKind::List));
-        assert_eq!("bitset".parse::<PaletteKind>(), Ok(PaletteKind::Bitset));
-        assert!(PaletteKind::parse("lists").is_err());
-        assert_eq!(PaletteKind::default(), PaletteKind::Bitset);
-        assert_eq!(PaletteKind::List.to_string(), "list");
-        assert_eq!(PaletteBackend::default().kind(), PaletteKind::Bitset);
-        for kind in PaletteKind::ALL {
-            assert_eq!(PaletteBackend::with_kind(kind).kind(), kind);
-        }
-    }
-
     #[test]
     fn grow_links_into_p0() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 3);
-            assert_eq!(f.pool_size(), 3);
-            assert_eq!(f.num_levels(), 3);
-            assert_eq!(f.len(0), 3);
-            assert!(f.is_empty(1));
-            let c = f.grow();
-            assert_eq!(c, 3);
-            assert_eq!(f.len(0), 4);
-        }
+        let mut f = PaletteFamily::new(2, 3);
+        assert_eq!(f.pool_size(), 3);
+        assert_eq!(f.num_levels(), 3);
+        assert_eq!(f.len(0), 3);
+        assert!(f.is_empty(1));
+        let c = f.grow();
+        assert_eq!(c, 3);
+        assert_eq!(f.len(0), 4);
     }
 
     #[test]
     fn pop_is_lifo_and_empties() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(1, 2);
-            let a = f.pop(0).unwrap();
-            let b = f.pop(0).unwrap();
-            assert_eq!((a, b), (1, 0), "{kind}");
-            assert_eq!(f.pop(0), None);
-            assert!(f.is_empty(0));
-        }
+        let mut f = PaletteFamily::new(1, 2);
+        let a = f.pop(0).unwrap();
+        let b = f.pop(0).unwrap();
+        assert_eq!((a, b), (1, 0));
+        assert_eq!(f.pop(0), None);
+        assert!(f.is_empty(0));
     }
 
     #[test]
     fn move_between_levels() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(3, 1);
-            f.move_to(0, 3);
-            assert_eq!(f.level_of(0), 3);
-            assert!(f.is_empty(0));
-            assert_eq!(f.collect(3), vec![0]);
-            f.move_to(0, 2);
-            f.move_to(0, 1);
-            f.move_to(0, 0);
-            assert_eq!(f.collect(0), vec![0]);
-        }
+        let mut f = PaletteFamily::new(3, 1);
+        f.move_to(0, 3);
+        assert_eq!(f.level_of(0), 3);
+        assert!(f.is_empty(0));
+        assert_eq!(f.collect(3), vec![0]);
+        f.move_to(0, 2);
+        f.move_to(0, 1);
+        f.move_to(0, 0);
+        assert_eq!(f.collect(0), vec![0]);
     }
 
     #[test]
     fn unlink_from_middle_keeps_order_consistent() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 5);
-            // Recency order (front to back): [4, 3, 2, 1, 0].
-            f.unlink(2);
-            assert_eq!(f.collect(0), vec![4, 3, 1, 0], "{kind}");
-            assert!(!f.is_linked(2));
-            assert_eq!(f.level_of(2), 0);
-            f.unlink(4); // front removal
-            assert_eq!(f.collect(0), vec![3, 1, 0]);
-            f.unlink(0); // back removal
-            assert_eq!(f.collect(0), vec![3, 1]);
-            f.link(0, 2);
-            assert_eq!(f.collect(0), vec![2, 3, 1]);
-            assert_eq!(f.len(0), 3);
-        }
+        let mut f = PaletteFamily::new(0, 5);
+        // Recency order (front to back): [4, 3, 2, 1, 0].
+        f.unlink(2);
+        assert_eq!(f.collect(0), vec![4, 3, 1, 0]);
+        assert!(!f.is_linked(2));
+        assert_eq!(f.level_of(2), 0);
+        f.unlink(4); // front removal
+        assert_eq!(f.collect(0), vec![3, 1, 0]);
+        f.unlink(0); // back removal
+        assert_eq!(f.collect(0), vec![3, 1]);
+        f.link(0, 2);
+        assert_eq!(f.collect(0), vec![2, 3, 1]);
+        assert_eq!(f.len(0), 3);
     }
 
     #[test]
     fn pop_where_skips_rejected_colors() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 6);
-            // Front to back: [5, 4, 3, 2, 1, 0]; reject anything >= 3.
-            let got = f.pop_where(0, |c| c < 3);
-            assert_eq!(got, Some(2), "{kind}");
-            assert_eq!(f.len(0), 5);
-            // Nothing matches: level untouched.
-            assert_eq!(f.pop_where(0, |c| c > 100), None);
-            assert_eq!(f.len(0), 5);
-        }
+        let mut f = PaletteFamily::new(0, 6);
+        // Front to back: [5, 4, 3, 2, 1, 0]; reject anything >= 3.
+        assert_eq!(f.pop_where(0, |c| c < 3), Some(2));
+        assert_eq!(f.len(0), 5);
+        // Nothing matches: level untouched.
+        assert_eq!(f.pop_where(0, |c| c > 100), None);
+        assert_eq!(f.len(0), 5);
     }
 
     #[test]
     fn pop_where_predicate_may_be_stateful() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 4);
-            // FnMut scratch: accept the third candidate examined.
-            let mut examined = 0u32;
-            let got = f.pop_where(0, |_| {
-                examined += 1;
-                examined == 3
-            });
-            assert_eq!(got, Some(1), "{kind}");
-            assert_eq!(examined, 3);
-        }
+        let mut f = PaletteFamily::new(0, 4);
+        // FnMut scratch: accept the third candidate examined.
+        let mut examined = 0u32;
+        let got = f.pop_where(0, |_| {
+            examined += 1;
+            examined == 3
+        });
+        assert_eq!(got, Some(1));
+        assert_eq!(examined, 3);
     }
 
     #[test]
     fn probe_count_tracks_pops_and_scans() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(0, 6);
-            assert_eq!(f.probe_count(), 0);
-            f.pop(0); // 1 probe
-            assert_eq!(f.probe_count(), 1, "{kind}");
-            // Level is now [4, 3, 2, 1, 0]; scanning for c < 3 examines 4, 3, 2.
-            f.pop_where(0, |c| c < 3);
-            assert_eq!(f.probe_count(), 4, "{kind}");
-            f.pop_where(0, |c| c > 100); // exhaustive scan of [4, 3, 1, 0]
-            assert_eq!(f.probe_count(), 8, "{kind}");
-        }
+        let mut f = PaletteFamily::new(0, 6);
+        assert_eq!(f.probe_count(), 0);
+        f.pop(0); // 1 probe
+        assert_eq!(f.probe_count(), 1);
+        // Level is now [4, 3, 2, 1, 0]; scanning for c < 3 examines 4, 3, 2.
+        f.pop_where(0, |c| c < 3);
+        assert_eq!(f.probe_count(), 4);
+        f.pop_where(0, |c| c > 100); // exhaustive scan of [4, 3, 1, 0]
+        assert_eq!(f.probe_count(), 8);
     }
 
     #[test]
     fn word_scans_accumulate_and_reset() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(1, 4);
-            let fill = f.word_scan_count();
-            f.pop(0);
-            f.pop_where(0, |c| c == 0);
-            assert!(f.word_scan_count() > fill, "{kind}");
-            f.reset(1, 4);
-            assert_eq!(f.word_scan_count(), fill, "{kind}: reset tallies differ");
-        }
-        // The bitset backend does strictly less word work than the list on
-        // a pop-heavy sequence — the E17 claim, in miniature.
-        let run = |mut f: PaletteBackend| {
-            f.reset(2, 0);
-            for _ in 0..64 {
-                f.grow();
-            }
-            for _ in 0..64 {
-                let c = f.pop(0).unwrap();
-                f.link(2, c);
-            }
-            for c in 0..64 {
-                f.move_to(c, 0);
-            }
-            for _ in 0..64 {
-                f.pop(0).unwrap();
-            }
-            f.word_scan_count()
-        };
-        let list = run(PaletteBackend::with_kind(PaletteKind::List));
-        let bitset = run(PaletteBackend::with_kind(PaletteKind::Bitset));
-        assert!(
-            bitset * 10 <= list * 7,
-            "bitset ({bitset}) should do at most 0.7x the word work of list ({list})"
-        );
+        let mut f = PaletteFamily::new(1, 4);
+        let fill = f.word_scan_count();
+        // Four grows: 4 table pushes + 7 link words + 1 backlink each,
+        // except the first link into an empty list.
+        assert_eq!(fill, 4 * 12 - 1);
+        f.pop(0);
+        f.pop_where(0, |c| c == 0);
+        assert!(f.word_scan_count() > fill);
+        f.reset(1, 4);
+        assert_eq!(f.word_scan_count(), fill, "reset tallies differ");
     }
 
     #[test]
-    fn reset_matches_fresh_backend() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 3);
-            f.pop(0);
-            f.move_to(0, 2);
-            f.grow();
-            f.reset(1, 2);
-            let mut fresh = PaletteBackend::with_kind(kind);
-            fresh.reset(1, 2);
-            assert_eq!(f.num_levels(), fresh.num_levels());
-            assert_eq!(f.pool_size(), fresh.pool_size());
-            assert_eq!(f.collect(0), fresh.collect(0));
-            assert_eq!(f.probe_count(), 0);
-            assert_eq!(f.word_scan_count(), fresh.word_scan_count(), "{kind}");
-            // Same LIFO pop order as a fresh backend.
-            assert_eq!(f.pop(0), Some(1), "{kind}");
-            assert_eq!(f.pop(0), Some(0));
-            assert_eq!(f.pop(0), None);
-        }
+    fn reset_matches_fresh_family() {
+        let mut f = PaletteFamily::new(2, 3);
+        f.pop(0);
+        f.move_to(0, 2);
+        f.grow();
+        f.reset(1, 2);
+        let fresh = PaletteFamily::new(1, 2);
+        assert_eq!(f.num_levels(), fresh.num_levels());
+        assert_eq!(f.pool_size(), fresh.pool_size());
+        assert_eq!(f.collect(0), fresh.collect(0));
+        assert_eq!(f.probe_count(), 0);
+        assert_eq!(f.word_scan_count(), fresh.word_scan_count());
+        // Same LIFO pop order as a fresh family.
+        assert_eq!(f.pop(0), Some(1));
+        assert_eq!(f.pop(0), Some(0));
+        assert_eq!(f.pop(0), None);
     }
 
     #[test]
     fn parked_levels_track_without_linking() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 1);
-            f.unlink(0);
-            f.set_parked_level(0, 2);
-            assert_eq!(f.level_of(0), 2);
-            assert!(f.is_empty(2));
-            f.link(2, 0);
-            assert_eq!(f.len(2), 1);
-        }
-    }
-
-    #[test]
-    fn pop_separated_matches_predicate_form() {
-        on_both(|f| {
-            f.reset(0, 12);
-            let mut out = Vec::new();
-            out.extend(f.pop_separated(0, 8, 3)); // forbid [6, 10]
-            out.extend(f.pop_separated(0, 0, 4)); // forbid [0, 3] (saturated lo)
-            out.extend(f.pop_separated(0, u32::MAX, 5)); // no parent: plain pop
-            out.extend(f.pop_separated(0, 4, 1)); // delta1 <= 1: plain pop
-            out.push(f.probe_count() as u32);
-            out
-        });
-        // And against the explicit predicate on the list reference.
-        let mut a = PaletteFamily::new(0, 12);
-        let mut b = PaletteFamily::new(0, 12);
-        assert_eq!(
-            a.pop_separated(0, 8, 3),
-            b.pop_where(0, |c| c.abs_diff(8) >= 3)
-        );
-        assert_eq!(a.probe_count(), b.probe_count());
-    }
-
-    #[test]
-    fn collect_into_appends_for_level_loops() {
-        for kind in PaletteKind::ALL {
-            let mut f = PaletteBackend::with_kind(kind);
-            f.reset(2, 2);
-            f.move_to(0, 1);
-            f.move_to(1, 2);
-            let mut buf = vec![99];
-            for j in 0..3 {
-                f.collect_into(j, &mut buf);
-            }
-            assert_eq!(buf, vec![99, 0, 1], "{kind}");
-        }
-    }
-
-    /// Deterministic random-op differential: both backends must agree on
-    /// every observable (returned colors, levels, lengths, link order,
-    /// probe counts) across a long mixed op sequence.
-    #[test]
-    fn backends_agree_on_random_op_sequences() {
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..20 {
-            let t = (next() % 4) as u32;
-            let pool = (next() % 80) as usize;
-            let mut list = PaletteBackend::with_kind(PaletteKind::List);
-            let mut bitset = PaletteBackend::with_kind(PaletteKind::Bitset);
-            list.reset(t, pool);
-            bitset.reset(t, pool);
-            for _ in 0..400 {
-                let op = next() % 8;
-                let j = (next() % (t as u64 + 1)) as u32;
-                match op {
-                    0 => {
-                        assert_eq!(list.grow(), bitset.grow());
-                    }
-                    1 | 2 => {
-                        assert_eq!(list.pop(j), bitset.pop(j), "round {round}");
-                    }
-                    3 => {
-                        let m = (next() % 5) as u32 + 1;
-                        let a = list.pop_where(j, |c| c % 5 >= m);
-                        let b = bitset.pop_where(j, |c| c % 5 >= m);
-                        assert_eq!(a, b, "round {round}");
-                    }
-                    4 => {
-                        let parent = (next() % 40) as u32;
-                        let d1 = (next() % 6) as u32 + 1;
-                        let a = list.pop_separated(j, parent, d1);
-                        let b = bitset.pop_separated(j, parent, d1);
-                        assert_eq!(a, b, "round {round}");
-                    }
-                    5 => {
-                        if list.pool_size() > 0 {
-                            let c = (next() % list.pool_size() as u64) as u32;
-                            assert_eq!(list.is_linked(c), bitset.is_linked(c));
-                            if list.is_linked(c) {
-                                list.move_to(c, j);
-                                bitset.move_to(c, j);
-                            } else {
-                                list.set_parked_level(c, j);
-                                bitset.set_parked_level(c, j);
-                                list.link(j, c);
-                                bitset.link(j, c);
-                            }
-                        }
-                    }
-                    6 => {
-                        if list.pool_size() > 0 {
-                            let c = (next() % list.pool_size() as u64) as u32;
-                            if list.is_linked(c) {
-                                list.unlink(c);
-                                bitset.unlink(c);
-                            }
-                        }
-                    }
-                    _ => {
-                        assert_eq!(list.len(j), bitset.len(j));
-                        assert_eq!(list.collect(j), bitset.collect(j), "round {round}");
-                    }
-                }
-            }
-            assert_eq!(list.probe_count(), bitset.probe_count(), "round {round}");
-            for j in 0..=t {
-                assert_eq!(list.collect(j), bitset.collect(j), "round {round}");
-            }
-            for c in 0..list.pool_size() as u32 {
-                assert_eq!(list.level_of(c), bitset.level_of(c));
-                assert_eq!(list.is_linked(c), bitset.is_linked(c));
-            }
-        }
-    }
-
-    /// The dyn-safe trait surface drives both backends identically (the
-    /// criterion microbench relies on this).
-    #[test]
-    fn dyn_trait_object_drives_both_backends() {
-        let mut list = PaletteFamily::default();
-        let mut bitset = BitsetPalette::default();
-        let mut outs = Vec::new();
-        for p in [&mut list as &mut dyn PaletteOps, &mut bitset] {
-            p.reset(1, 3);
-            let mut seq = Vec::new();
-            seq.extend(p.pop(0));
-            seq.extend(p.pop_where_dyn(0, &mut |c| c == 0));
-            p.link(1, 0);
-            seq.push(p.len(1) as u32);
-            seq.push(p.probe_count() as u32);
-            outs.push(seq);
-        }
-        assert_eq!(outs[0], outs[1]);
+        let mut f = PaletteFamily::new(2, 1);
+        f.unlink(0);
+        f.set_parked_level(0, 2);
+        assert_eq!(f.level_of(0), 2);
+        assert!(f.is_empty(2));
+        f.link(2, 0);
+        assert_eq!(f.len(2), 1);
     }
 }

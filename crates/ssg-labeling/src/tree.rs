@@ -29,12 +29,12 @@
 //! which is amortized `O(level work)` and keeps brooms and other
 //! wide-and-deep trees within the `O(nt)` budget.
 
-use crate::palette::PaletteBackend;
+use crate::palette::PaletteFamily;
 use crate::spec::Labeling;
 use crate::workspace::Workspace;
 use ssg_error::SsgError;
 use ssg_graph::Vertex;
-use ssg_telemetry::{Counter, Hist, Metrics};
+use ssg_telemetry::{Counter, Metrics};
 use ssg_tree::{for_each_in_up_neighborhood, tree_lambda_star, RootedTree};
 
 /// Result of the optimal tree coloring.
@@ -157,13 +157,14 @@ fn color_tree(
 
     // Pick a palette color respecting the δ1 separation from the parent.
     // The parent window excludes at most 2(δ1-1) colors, so scanning at
-    // most 2δ1-1 entries succeeds — O(δ1). `pop_separated` handles the
-    // no-parent / δ1 = 1 cases and lets the bitset backend test its
-    // branchless separation window instead of a per-color predicate.
-    let extract = |pal: &mut PaletteBackend, log: &mut Vec<u32>, parent_color: u32| -> u32 {
-        let c = pal
-            .pop_separated(0, parent_color, delta1)
-            .expect("Theorems 4/5: the palette cannot run dry");
+    // most 2δ1-1 list entries succeeds — O(δ1).
+    let extract = |pal: &mut PaletteFamily, log: &mut Vec<u32>, parent_color: u32| -> u32 {
+        let c = if delta1 == 1 || parent_color == u32::MAX {
+            pal.pop(0)
+        } else {
+            pal.pop_where(0, |c| c.abs_diff(parent_color) >= delta1)
+        }
+        .expect("Theorems 4/5: the palette cannot run dry");
         log.push(c);
         c
     };
@@ -234,7 +235,6 @@ fn color_tree(
         metrics.add(Counter::PeelSteps, n as u64);
         metrics.add(Counter::PaletteProbes, pal.probe_count());
         metrics.add(Counter::PaletteWordScans, pal.word_scan_count());
-        metrics.observe_ns(Hist::PalettePop, pal.pop_word_scan_count());
     }
     (Labeling::new(colors), lambda_star)
 }
@@ -264,7 +264,7 @@ fn remove_neighborhood_colors(
     uplevel: u32,
     t: u32,
     colors: &[u32],
-    pal: &mut PaletteBackend,
+    pal: &mut PaletteFamily,
     log: &mut Vec<u32>,
 ) {
     for_each_in_up_neighborhood(tree, x, uplevel, t, |u| {
@@ -282,7 +282,7 @@ fn remove_neighborhood_colors(
 }
 
 /// Returns the color of `u` to the palette if it is colored and absent.
-fn restore_color(colors: &[u32], u: Vertex, pal: &mut PaletteBackend) {
+fn restore_color(colors: &[u32], u: Vertex, pal: &mut PaletteFamily) {
     let c = colors[u as usize];
     if c != u32::MAX && !pal.is_linked(c) {
         pal.link(0, c);

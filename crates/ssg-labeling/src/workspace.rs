@@ -2,7 +2,7 @@
 //!
 //! Every A1–A5 call allocates the same shapes of scratch state: a color
 //! output buffer, per-vertex dependency lists, a
-//! [`PaletteBackend`], BFS
+//! [`PaletteFamily`], BFS
 //! distance arrays, level logs. On a production workload of heavy repeated
 //! traffic (the ROADMAP north-star) those allocations dominate the cheap
 //! `O(nt)` sweeps, so this module hoists all of them into a [`Workspace`]
@@ -45,7 +45,7 @@
 //!   vendored rayon exposes no worker identity, and the checkout cost is
 //!   trivial next to a solve).
 
-use crate::palette::{PaletteBackend, PaletteKind};
+use crate::palette::PaletteFamily;
 use crate::spec::Labeling;
 use ssg_graph::scratch::BfsScratch;
 use ssg_graph::Vertex;
@@ -58,10 +58,8 @@ use std::sync::Mutex;
 /// the ownership rules.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Palette backend reused across solves via [`PaletteBackend::reset`].
-    /// Both backends reset warm with zero steady-state allocation; the
-    /// kind is fixed at construction ([`Workspace::with_palette`]).
-    pub(crate) palette: PaletteBackend,
+    /// Palette family reused across solves via [`PaletteFamily::reset`].
+    pub(crate) palette: PaletteFamily,
     /// Per-vertex dependency lists (`L_v` of Figure 1 / §3.2).
     pub(crate) dep: Vec<Vec<u32>>,
     /// Drain buffer for one vertex's dependency list.
@@ -88,23 +86,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// An empty arena; every buffer is grown on first use. Uses the
-    /// default palette backend ([`PaletteKind::Bitset`]).
+    /// An empty arena; every buffer is grown on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty arena whose palette uses the given backend.
-    pub fn with_palette(kind: PaletteKind) -> Self {
-        Workspace {
-            palette: PaletteBackend::with_kind(kind),
-            ..Self::default()
-        }
-    }
-
-    /// Which palette backend this workspace solves with.
-    pub fn palette_kind(&self) -> PaletteKind {
-        self.palette.kind()
     }
 
     /// Marks the start of one public solve. The second and later calls on
@@ -225,27 +209,12 @@ pub(crate) fn ensure_dep(dep: &mut Vec<Vec<u32>>, n: usize, grows: &mut u64) {
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<Workspace>>,
-    kind: PaletteKind,
 }
 
 impl WorkspacePool {
-    /// An empty pool; workspaces are created on first checkout with the
-    /// default palette backend ([`PaletteKind::Bitset`]).
+    /// An empty pool; workspaces are created on first checkout.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool whose workspaces use the given palette backend.
-    pub fn with_palette(kind: PaletteKind) -> Self {
-        WorkspacePool {
-            free: Mutex::new(Vec::new()),
-            kind,
-        }
-    }
-
-    /// Which palette backend this pool's workspaces solve with.
-    pub fn palette_kind(&self) -> PaletteKind {
-        self.kind
     }
 
     /// Runs `f` with an exclusive workspace checked out of the pool,
@@ -256,7 +225,7 @@ impl WorkspacePool {
             .lock()
             .expect("workspace pool poisoned")
             .pop()
-            .unwrap_or_else(|| Workspace::with_palette(self.kind));
+            .unwrap_or_default();
         let result = f(&mut ws);
         self.free
             .lock()

@@ -4,7 +4,7 @@
 //! itself never had.
 
 use rayon::prelude::*;
-use ssg_labeling::{PaletteKind, Workspace, WorkspacePool};
+use ssg_labeling::{Workspace, WorkspacePool};
 use ssg_telemetry::{Metrics, Phase};
 use std::io::Write;
 
@@ -130,7 +130,6 @@ impl GridBackend {
 #[derive(Clone)]
 pub struct GridRunner<'a> {
     backend: GridBackend,
-    palette: PaletteKind,
     metrics: Metrics,
     pool: Option<&'a WorkspacePool>,
     engine: Option<&'a ssg_engine::Engine>,
@@ -148,7 +147,6 @@ impl<'a> GridRunner<'a> {
     pub fn new() -> Self {
         GridRunner {
             backend: GridBackend::Pooled,
-            palette: PaletteKind::default(),
             metrics: Metrics::disabled(),
             pool: None,
             engine: None,
@@ -159,16 +157,6 @@ impl<'a> GridRunner<'a> {
     #[must_use]
     pub fn backend(mut self, backend: GridBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Selects the palette backend every internally built workspace uses
-    /// (default [`PaletteKind::Bitset`]). Ignored when a caller-owned
-    /// [`pool`](Self::pool) or [`engine`](Self::engine) is attached — those
-    /// carry their own palette choice.
-    #[must_use]
-    pub fn palette(mut self, palette: PaletteKind) -> Self {
-        self.palette = palette;
         self
     }
 
@@ -218,25 +206,16 @@ impl<'a> GridRunner<'a> {
         F: Fn(&P, u64, &mut Workspace) -> R + Send + Sync + 'static,
     {
         match self.backend {
-            GridBackend::Sequential => {
-                grid_sequential_impl(params, seeds, self.palette, &self.metrics, f)
-            }
+            GridBackend::Sequential => grid_sequential_impl(params, seeds, &self.metrics, f),
             GridBackend::Pooled => match self.pool {
                 Some(pool) => grid_pooled_impl(params, seeds, pool, &self.metrics, f),
-                None => grid_pooled_impl(
-                    params,
-                    seeds,
-                    &WorkspacePool::with_palette(self.palette),
-                    &self.metrics,
-                    f,
-                ),
+                None => grid_pooled_impl(params, seeds, &WorkspacePool::new(), &self.metrics, f),
             },
             GridBackend::Engine { workers } => match self.engine {
                 Some(engine) => grid_engine_impl(params, seeds, engine, &self.metrics, f),
                 None => {
                     let engine = ssg_engine::Engine::builder()
                         .workers(workers)
-                        .palette(self.palette)
                         .metrics(self.metrics.clone())
                         .build();
                     let grid = grid_engine_impl(params, seeds, &engine, &self.metrics, f);
@@ -251,17 +230,11 @@ impl<'a> GridRunner<'a> {
 /// [`GridBackend::Sequential`] body: in-order cells on one warm workspace.
 /// Bounds stay relaxed (no `Sync`/`'static`) because nothing leaves the
 /// calling thread.
-fn grid_sequential_impl<P, R, F>(
-    params: &[P],
-    seeds: &[u64],
-    palette: PaletteKind,
-    metrics: &Metrics,
-    f: F,
-) -> Vec<Vec<R>>
+fn grid_sequential_impl<P, R, F>(params: &[P], seeds: &[u64], metrics: &Metrics, f: F) -> Vec<Vec<R>>
 where
     F: Fn(&P, u64, &mut Workspace) -> R,
 {
-    let mut ws = Workspace::with_palette(palette);
+    let mut ws = Workspace::new();
     params
         .iter()
         .map(|p| {
@@ -581,39 +554,6 @@ mod tests {
         engine.drain();
         assert_eq!(engine.stats().completed, 6);
         engine.shutdown();
-    }
-
-    /// Palette parity: both palette backends, on every grid backend,
-    /// produce identical span grids (the bitset palette is a drop-in
-    /// replacement for the reference list, probe-for-probe).
-    #[test]
-    fn palette_backends_agree_across_grid_backends() {
-        let params = vec![16usize, 30];
-        let seeds = vec![11u64, 12];
-        let reference = GridRunner::new()
-            .backend(GridBackend::Sequential)
-            .palette(PaletteKind::List)
-            .run(&params, &seeds, corridor_span);
-        for palette in PaletteKind::ALL {
-            for backend in [
-                GridBackend::Sequential,
-                GridBackend::Pooled,
-                GridBackend::Engine { workers: 2 },
-            ] {
-                let grid = GridRunner::new()
-                    .backend(backend)
-                    .palette(palette)
-                    .run(&params, &seeds, corridor_span);
-                assert_eq!(grid, reference, "palette={palette} backend {backend:?}");
-            }
-        }
-        // A caller-owned pool carries its own palette choice.
-        let pool = WorkspacePool::with_palette(PaletteKind::List);
-        let pooled = GridRunner::new()
-            .pool(&pool)
-            .run(&params, &seeds, corridor_span);
-        assert_eq!(pooled, reference);
-        assert_eq!(pool.palette_kind(), PaletteKind::List);
     }
 
     #[test]

@@ -146,10 +146,9 @@ pub enum Counter {
     /// scales with churn size, not instance size, when the incremental
     /// path is winning.
     DirtyVertices,
-    /// Palette backend structure words read or written by palette
-    /// operations (linked-list pointer splices vs bitset word updates) —
-    /// the deterministic per-probe *work* behind
-    /// [`Counter::PaletteProbes`], used to compare palette backends.
+    /// Palette-family list-table words read or written by palette
+    /// operations (pointer splices, level and length bookkeeping) — the
+    /// deterministic per-probe *work* behind [`Counter::PaletteProbes`].
     PaletteWordScans,
 }
 
@@ -329,23 +328,15 @@ pub enum Hist {
     /// nanoseconds) — distribution of how much of the graph each delta
     /// actually touched.
     RegionSize,
-    /// Palette pop-phase word traffic per solve, in **words** (not
-    /// nanoseconds) — each palette-using solve records the words its
-    /// `pop`/`pop_where`/`pop_separated` extractions touched as one
-    /// sample (the probe-phase slice of [`Counter::PaletteWordScans`]),
-    /// so the distribution separates probe-light from probe-dominated
-    /// solves and is where the list-vs-bitset backend gap shows.
-    PalettePop,
 }
 
 impl Hist {
     /// Every histogram, in report order.
-    pub const ALL: [Hist; 5] = [
+    pub const ALL: [Hist; 4] = [
         Hist::SolverSolve,
         Hist::QueueWait,
         Hist::RequestLatency,
         Hist::RegionSize,
-        Hist::PalettePop,
     ];
 
     /// Stable snake_case name used in JSON reports and Prometheus output
@@ -356,18 +347,15 @@ impl Hist {
             Hist::QueueWait => "queue_wait",
             Hist::RequestLatency => "request_latency",
             Hist::RegionSize => "region_size",
-            Hist::PalettePop => "palette_pop",
         }
     }
 
     /// Unit suffix renderers append to [`Hist::name`]: `"_ns"` for latency
-    /// histograms, `"_vertices"` for [`Hist::RegionSize`], `"_words"` for
-    /// [`Hist::PalettePop`].
+    /// histograms, `"_vertices"` for [`Hist::RegionSize`].
     pub fn unit_suffix(self) -> &'static str {
         match self {
             Hist::SolverSolve | Hist::QueueWait | Hist::RequestLatency => "_ns",
             Hist::RegionSize => "_vertices",
-            Hist::PalettePop => "_words",
         }
     }
 
@@ -378,7 +366,6 @@ impl Hist {
             Hist::QueueWait => "Engine queue wait in nanoseconds, submit to dequeue.",
             Hist::RequestLatency => "End-to-end engine request latency in nanoseconds.",
             Hist::RegionSize => "Dirty-region size per incremental solve, in vertices.",
-            Hist::PalettePop => "Palette pop-phase word traffic per solve, in words.",
         }
     }
 
@@ -388,7 +375,6 @@ impl Hist {
             Hist::QueueWait => 1,
             Hist::RequestLatency => 2,
             Hist::RegionSize => 3,
-            Hist::PalettePop => 4,
         }
     }
 }
@@ -868,13 +854,11 @@ mod tests {
                 "solver_solve",
                 "queue_wait",
                 "request_latency",
-                "region_size",
-                "palette_pop"
+                "region_size"
             ]
         );
         assert_eq!(Hist::SolverSolve.unit_suffix(), "_ns");
         assert_eq!(Hist::RegionSize.unit_suffix(), "_vertices");
-        assert_eq!(Hist::PalettePop.unit_suffix(), "_words");
         let gauge_names: Vec<&str> = Gauge::ALL.iter().map(|g| g.name()).collect();
         assert_eq!(gauge_names, ["queue_depth", "in_flight"]);
     }

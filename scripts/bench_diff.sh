@@ -9,11 +9,6 @@
 # columns (spans, ok, spans_match, cell membership) are diffed against the
 # committed baseline table via `ssg lab run --baseline`.
 #
-# Both modes run once per palette backend (`--palette list` then
-# `--palette bitset`): spans are palette-invariant, so one committed
-# baseline gates both backends, and a backend that drifts from the other
-# fails here before it can land.
-#
 # Usage: scripts/bench_diff.sh [baseline.json]   (default: BENCH_labeling.json)
 #        scripts/bench_diff.sh --lab <spec.lab> <table.json>
 set -eu
@@ -33,11 +28,8 @@ if [ "${1:-}" = "--lab" ]; then
     cargo build --release --offline --bin ssg
     LAB_DIR=$(mktemp -d)
     trap 'rm -rf "$LAB_DIR"' EXIT
-    for PALETTE in list bitset; do
-        echo "==> ssg lab run $SPEC --palette $PALETTE --baseline $TABLE"
-        ./target/release/ssg lab run "$SPEC" --dir "$LAB_DIR/run-$PALETTE" \
-            --palette "$PALETTE" --baseline "$TABLE"
-    done
+    echo "==> ssg lab run $SPEC --baseline $TABLE"
+    ./target/release/ssg lab run "$SPEC" --dir "$LAB_DIR/run" --baseline "$TABLE"
     exit 0
 fi
 
@@ -64,8 +56,5 @@ fi
 echo "==> cargo build --release (ssg)"
 cargo build --release --offline --bin ssg
 
-for PALETTE in list bitset; do
-    echo "==> ssg bench --n $N --reps $REPS --seed $SEED --palette $PALETTE --compare $BASELINE"
-    ./target/release/ssg bench --n "$N" --reps "$REPS" --seed "$SEED" \
-        --palette "$PALETTE" --compare "$BASELINE"
-done
+echo "==> ssg bench --n $N --reps $REPS --seed $SEED --compare $BASELINE"
+exec ./target/release/ssg bench --n "$N" --reps "$REPS" --seed "$SEED" --compare "$BASELINE"

@@ -45,9 +45,6 @@ esac
 rm -rf "$LAB_DIR"
 sh scripts/bench_diff.sh --lab labs/demo.lab labs/demo.table.json
 
-echo "==> palette parity gate (list vs bitset over the committed matrix)"
-sh scripts/bench_diff.sh --lab labs/palette.lab labs/palette.table.json
-
 echo "==> serve/loadgen smoke (ephemeral port, 50 rps x 2s, drain)"
 SMOKE_DIR=$(mktemp -d)
 ./target/release/ssg serve --addr 127.0.0.1:0 --workers 2 \

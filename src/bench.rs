@@ -18,7 +18,7 @@ use rand::SeedableRng;
 use ssg_graph::generators::random_bounded_degree_tree;
 use ssg_intervals::gen::{corridor_unit_intervals, random_connected_intervals};
 use ssg_labeling::solver::{default_registry, Problem};
-use ssg_labeling::{PaletteKind, SeparationVector, Workspace};
+use ssg_labeling::{SeparationVector, Workspace};
 use ssg_netsim::{simulate_corridor, simulate_corridor_incremental_with, DynamicsConfig, Policy};
 use ssg_telemetry::json::Json;
 use ssg_telemetry::report::{expect_one_of, ReportEnvelope};
@@ -61,12 +61,6 @@ pub struct BenchConfig {
     /// the warm arena and are reported in `warm_wall_ns`. `1` (the
     /// default) benches the cold path only.
     pub repeat: usize,
-    /// Palette backend every benchmark workspace and engine pool uses
-    /// (default [`PaletteKind::Bitset`]). The dedicated palette section
-    /// always measures both backends regardless of this knob; spans are
-    /// palette-invariant, so either setting diffs clean against the same
-    /// committed baseline.
-    pub palette: PaletteKind,
 }
 
 impl Default for BenchConfig {
@@ -76,7 +70,6 @@ impl Default for BenchConfig {
             reps: 3,
             seed: 42,
             repeat: 1,
-            palette: PaletteKind::default(),
         }
     }
 }
@@ -107,13 +100,6 @@ impl BenchConfig {
     #[must_use]
     pub fn repeat(mut self, repeat: usize) -> Self {
         self.repeat = repeat;
-        self
-    }
-
-    /// Sets the palette backend for every benchmark workspace.
-    #[must_use]
-    pub fn palette(mut self, palette: PaletteKind) -> Self {
-        self.palette = palette;
         self
     }
 }
@@ -195,12 +181,19 @@ impl AlgorithmBench {
 pub struct EngineBenchRow {
     /// Worker threads the engine ran with.
     pub workers: usize,
-    /// Wall time of the whole batch, in nanoseconds.
+    /// Median wall time of the row's five timed batches, in nanoseconds.
     pub wall_ns: u64,
-    /// Requests per second (`requests / wall`).
+    /// Fastest timed batch, in nanoseconds.
+    pub wall_ns_min: u64,
+    /// Slowest timed batch, in nanoseconds.
+    pub wall_ns_max: u64,
+    /// Requests per second at the median wall time.
     pub requests_per_sec: f64,
-    /// Throughput relative to the 1-worker row.
+    /// Median-wall throughput relative to the 1-worker row.
     pub speedup_vs_1: f64,
+    /// Whether `workers` exceeds the host's available parallelism, so the
+    /// row measures time slicing rather than hardware scaling.
+    pub oversubscribed: bool,
     /// Jobs served off sibling shards during the run.
     pub steals: u64,
 }
@@ -254,8 +247,11 @@ impl EngineBench {
                             Json::Object(vec![
                                 ("workers".into(), Json::U64(r.workers as u64)),
                                 ("wall_ns".into(), Json::U64(r.wall_ns)),
+                                ("wall_ns_min".into(), Json::U64(r.wall_ns_min)),
+                                ("wall_ns_max".into(), Json::U64(r.wall_ns_max)),
                                 ("requests_per_sec".into(), Json::F64(r.requests_per_sec)),
                                 ("speedup_vs_1".into(), Json::F64(r.speedup_vs_1)),
+                                ("oversubscribed".into(), Json::Bool(r.oversubscribed)),
                                 ("steals".into(), Json::U64(r.steals)),
                             ])
                         })
@@ -322,97 +318,6 @@ impl IncrementalBench {
     }
 }
 
-/// One palette backend's measurements in the [`PaletteBench`] head-to-head.
-#[derive(Debug, Clone)]
-pub struct PaletteBenchRow {
-    /// Backend this row ran on.
-    pub palette: PaletteKind,
-    /// Span of the labeling (must agree across rows — the bit-identical
-    /// contract).
-    pub span: u32,
-    /// Best cold-solve wall time across repetitions, ns.
-    pub cold_wall_ns: u64,
-    /// Best warm-solve wall time (solve #2+ on the same workspace), ns.
-    pub warm_wall_ns: u64,
-    /// Palette probes of one solve (identical cold vs warm and across
-    /// repetitions; also identical across backends by construction).
-    pub palette_probes: u64,
-    /// Palette structure words read/written by one solve — the
-    /// deterministic work counter over ALL palette traffic (extraction
-    /// plus `link`/`unlink` bookkeeping).
-    pub palette_word_scans: u64,
-    /// The `pop`/`pop_where`/`pop_separated` slice of
-    /// `palette_word_scans` — the probe-phase work the backends compete
-    /// on (a list pop pays a full pointer splice, a bitset pop one word
-    /// scan plus a bit clear).
-    pub palette_pop_word_scans: u64,
-    /// Per-solve pop-phase word traffic distribution (`palette_pop`
-    /// histogram; one sample per solve, cold and warm merged).
-    pub pop_hist: HistSnapshot,
-}
-
-/// The `ssg bench` palette section: the A3 corridor workload (the most
-/// palette-probe-dominated inner loop in the suite — δ-gap `pop_where`
-/// scans on every vertex) solved with both palette backends, cold and
-/// warm, on otherwise identical inputs.
-#[derive(Debug, Clone)]
-pub struct PaletteBench {
-    /// Human-readable workload description.
-    pub workload: &'static str,
-    /// Vertex count of the workload.
-    pub n: usize,
-    /// One row per backend, in [`PaletteKind::ALL`] order (list first).
-    pub rows: Vec<PaletteBenchRow>,
-    /// Whether every backend produced the same span (must be `true`).
-    pub spans_match: bool,
-    /// `list.palette_word_scans / bitset.palette_word_scans` — the
-    /// deterministic work reduction over all palette traffic.
-    pub word_scan_ratio: f64,
-    /// `list.palette_pop_word_scans / bitset.palette_pop_word_scans` —
-    /// the probe-phase work reduction (the headline number: link/unlink
-    /// bookkeeping, which both backends pay near-identically, is
-    /// excluded).
-    pub pop_word_scan_ratio: f64,
-}
-
-impl PaletteBench {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("workload".into(), Json::Str(self.workload.into())),
-            ("n".into(), Json::U64(self.n as u64)),
-            (
-                "rows".into(),
-                Json::Array(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::Object(vec![
-                                ("palette".into(), Json::Str(r.palette.as_str().into())),
-                                ("span".into(), Json::U64(u64::from(r.span))),
-                                ("cold_wall_ns".into(), Json::U64(r.cold_wall_ns)),
-                                ("warm_wall_ns".into(), Json::U64(r.warm_wall_ns)),
-                                ("palette_probes".into(), Json::U64(r.palette_probes)),
-                                ("palette_word_scans".into(), Json::U64(r.palette_word_scans)),
-                                (
-                                    "palette_pop_word_scans".into(),
-                                    Json::U64(r.palette_pop_word_scans),
-                                ),
-                                ("palette_pop".into(), r.pop_hist.summary_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("spans_match".into(), Json::Bool(self.spans_match)),
-            ("word_scan_ratio".into(), Json::F64(self.word_scan_ratio)),
-            (
-                "pop_word_scan_ratio".into(),
-                Json::F64(self.pop_word_scan_ratio),
-            ),
-        ])
-    }
-}
-
 /// A full `ssg bench` run: configuration plus one entry per algorithm.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -426,9 +331,6 @@ pub struct BenchReport {
     /// Incremental-recoloring churn section (`None` for reports produced
     /// before the incremental path existed).
     pub incremental: Option<IncrementalBench>,
-    /// Palette backend head-to-head section (`None` for reports produced
-    /// before palette backends existed).
-    pub palette: Option<PaletteBench>,
 }
 
 impl BenchReport {
@@ -442,9 +344,8 @@ impl BenchReport {
     /// `solver_solve` keyed by algorithm id, plus `queue_wait` and
     /// `request_latency` when the engine section ran; each summary has
     /// `count`/`p50`/`p90`/`p99`/`max`/`mean` in nanoseconds), `engine`
-    /// (batch throughput vs. worker count), `incremental` (churn
-    /// recoloring), and `palette` (list-vs-bitset palette backend
-    /// head-to-head on the A3 corridor workload).
+    /// (batch throughput vs. worker count), and `incremental` (churn
+    /// recoloring).
     pub fn to_json(&self) -> Json {
         let mut config = vec![
             ("n".into(), Json::U64(self.config.n as u64)),
@@ -453,12 +354,6 @@ impl BenchReport {
         ];
         if self.config.repeat > 1 {
             config.push(("repeat".into(), Json::U64(self.config.repeat as u64)));
-        }
-        if self.config.palette != PaletteKind::default() {
-            config.push((
-                "palette".into(),
-                Json::Str(self.config.palette.as_str().into()),
-            ));
         }
         let solver_solve: Vec<(String, Json)> = self
             .algorithms
@@ -486,9 +381,6 @@ impl BenchReport {
         }
         if let Some(incremental) = &self.incremental {
             fields.push(("incremental".into(), incremental.to_json()));
-        }
-        if let Some(palette) = &self.palette {
-            fields.push(("palette".into(), palette.to_json()));
         }
         BENCH_ENVELOPE.stamp(fields)
     }
@@ -535,15 +427,24 @@ impl BenchReport {
                 "\nengine: {} ({} requests, n={}, host parallelism {})\n",
                 engine.workload, engine.requests, engine.request_n, engine.available_parallelism
             ));
-            out.push_str("workers  batch wall   requests/s  speedup  steals\n");
+            out.push_str(&format!(
+                "workers  batch wall p50 (min..max of {ENGINE_TIMED_BATCHES})   requests/s  speedup  steals\n"
+            ));
             for r in &engine.rows {
                 out.push_str(&format!(
-                    "{:>7} {:>9.3} ms {:>11.0} {:>7.2}x {:>7}\n",
+                    "{:>7} {:>9.3} ms ({:.3}..{:.3}) {:>11.0} {:>7.2}x {:>7}{}\n",
                     r.workers,
                     r.wall_ns as f64 / 1e6,
+                    r.wall_ns_min as f64 / 1e6,
+                    r.wall_ns_max as f64 / 1e6,
                     r.requests_per_sec,
                     r.speedup_vs_1,
-                    r.steals
+                    r.steals,
+                    if r.oversubscribed {
+                        "  oversubscribed"
+                    } else {
+                        ""
+                    },
                 ));
             }
             out.push_str(&format!(
@@ -576,34 +477,6 @@ impl BenchReport {
             ));
             if !inc.spans_match {
                 out.push_str("WARNING: incremental spans diverged from from-scratch solves\n");
-            }
-        }
-        if let Some(pal) = &self.palette {
-            out.push_str(&format!(
-                "\npalette backends: {} (n={})\n",
-                pal.workload, pal.n
-            ));
-            out.push_str(
-                "backend  span  cold          warm          probes      word scans      pop scans\n",
-            );
-            for r in &pal.rows {
-                out.push_str(&format!(
-                    "{:<7} {:>5} {:>9.3} ms {:>9.3} ms {:>11} {:>15} {:>14}\n",
-                    r.palette.as_str(),
-                    r.span,
-                    r.cold_wall_ns as f64 / 1e6,
-                    r.warm_wall_ns as f64 / 1e6,
-                    r.palette_probes,
-                    r.palette_word_scans,
-                    r.palette_pop_word_scans,
-                ));
-            }
-            out.push_str(&format!(
-                "word-scan reduction (list/bitset): total {:.2}x, pop phase {:.2}x\n",
-                pal.word_scan_ratio, pal.pop_word_scan_ratio
-            ));
-            if !pal.spans_match {
-                out.push_str("WARNING: palette backends produced different spans\n");
             }
         }
         out
@@ -741,42 +614,6 @@ pub fn diff_against_baseline(
             drifts.push("incremental: spans diverged from from-scratch solves".into());
         }
     }
-    // The palette section's spans are pinned the same way (deterministic
-    // per seed, identical across backends); wall times and word-scan
-    // counts are diagnostics, not gates. Skipped when either side
-    // predates the section.
-    if let (Some(base_pal), Some(fresh)) = (baseline.get("palette"), &report.palette) {
-        checked += 1;
-        let base_rows = base_pal
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "baseline palette section has no 'rows'".to_string())?;
-        for row in base_rows {
-            let backend = row
-                .get("palette")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "baseline palette row has no 'palette'".to_string())?;
-            let Some(fresh_row) = fresh.rows.iter().find(|r| r.palette.as_str() == backend) else {
-                drifts.push(format!(
-                    "palette/{backend}: present in baseline, absent from this run"
-                ));
-                continue;
-            };
-            let want = row
-                .get("span")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("baseline palette row {backend} has no 'span'"))?;
-            if want != u64::from(fresh_row.span) {
-                drifts.push(format!(
-                    "palette/{backend}: span {} != baseline {want}",
-                    fresh_row.span
-                ));
-            }
-        }
-        if !fresh.spans_match {
-            drifts.push("palette: backends produced different spans".into());
-        }
-    }
     Ok(BaselineDiff { checked, drifts })
 }
 
@@ -814,7 +651,7 @@ fn bench_one(
     let mut warm_counters = None;
     let mut solve_hist = HistSnapshot::default();
     for _ in 0..cfg.reps.max(1) {
-        let mut ws = Workspace::with_palette(cfg.palette);
+        let mut ws = Workspace::new();
         let (cold_span, cold_snap) = timed_solve(name, problem, &mut ws);
         span = cold_span;
         wall_ns.push(cold_snap.phase_ns(Phase::Run));
@@ -849,11 +686,16 @@ const ENGINE_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Batch size of the engine workload.
 const ENGINE_REQUESTS: usize = 64;
 
+/// Timed batches per worker count, after one untimed warm-up batch.
+const ENGINE_TIMED_BATCHES: usize = 5;
+
 /// Runs the standard corridor batch through [`ssg_engine::Engine`] at each
 /// worker count in 1, 2, 4, 8, verifying every labeling
-/// against a sequential registry solve. Scaling numbers are only as good
-/// as the host: `available_parallelism` records the hardware ceiling
-/// (on a single-core host every row sits near 1.0x by construction).
+/// against a sequential registry solve. Each row reports the median of
+/// five timed batches with their min and max, and the speedup is a ratio
+/// of medians. Scaling numbers are only as good as the host:
+/// `available_parallelism` records the hardware ceiling, and rows with
+/// more workers than that are flagged `oversubscribed`.
 pub fn run_engine_benchmark(cfg: &BenchConfig) -> EngineBench {
     use ssg_engine::{Engine, LabelRequest, RequestInstance};
 
@@ -865,7 +707,7 @@ pub fn run_engine_benchmark(cfg: &BenchConfig) -> EngineBench {
         .collect();
 
     // Sequential reference spans on one warm workspace.
-    let mut ws = Workspace::with_palette(cfg.palette);
+    let mut ws = Workspace::new();
     let sequential: Vec<Vec<u32>> = reps
         .iter()
         .map(|rep| {
@@ -895,6 +737,9 @@ pub fn run_engine_benchmark(cfg: &BenchConfig) -> EngineBench {
             .collect()
     };
 
+    let available_parallelism = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     let mut spans_match = true;
     let mut rows = Vec::with_capacity(ENGINE_WORKER_COUNTS.len());
     let mut base_wall_ns = 0u64;
@@ -904,32 +749,37 @@ pub fn run_engine_benchmark(cfg: &BenchConfig) -> EngineBench {
     for workers in ENGINE_WORKER_COUNTS {
         let engine = Engine::builder()
             .workers(workers)
-            .palette(cfg.palette)
             .metrics(metrics.clone())
             .build();
         // One warm-up batch so thread spawn and arena growth are off the
-        // clock, then the timed batch.
+        // clock, then the timed batches.
         let _ = engine.run_batch(make_batch());
-        let start = std::time::Instant::now();
-        let responses = engine.run_batch(make_batch());
-        let wall = start.elapsed();
-        for (response, want) in responses.iter().zip(&sequential) {
-            match &response.result {
-                Ok(out) if out.labeling.colors() == want.as_slice() => {}
-                _ => spans_match = false,
+        let mut walls = Vec::with_capacity(ENGINE_TIMED_BATCHES);
+        for _ in 0..ENGINE_TIMED_BATCHES {
+            let start = std::time::Instant::now();
+            let responses = engine.run_batch(make_batch());
+            walls.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            for (response, want) in responses.iter().zip(&sequential) {
+                match &response.result {
+                    Ok(out) if out.labeling.colors() == want.as_slice() => {}
+                    _ => spans_match = false,
+                }
             }
         }
         let steals = engine.stats().steals;
         engine.shutdown();
-        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+        let wall_ns = exact_median_ns(&walls).max(1);
         if workers == 1 {
             base_wall_ns = wall_ns;
         }
         rows.push(EngineBenchRow {
             workers,
             wall_ns,
-            requests_per_sec: ENGINE_REQUESTS as f64 / wall.as_secs_f64().max(1e-12),
-            speedup_vs_1: base_wall_ns as f64 / wall_ns.max(1) as f64,
+            wall_ns_min: walls.iter().copied().min().unwrap_or(0),
+            wall_ns_max: walls.iter().copied().max().unwrap_or(0),
+            requests_per_sec: ENGINE_REQUESTS as f64 * 1e9 / wall_ns as f64,
+            speedup_vs_1: base_wall_ns as f64 / wall_ns as f64,
+            oversubscribed: workers > available_parallelism,
             steals,
         });
     }
@@ -938,9 +788,7 @@ pub fn run_engine_benchmark(cfg: &BenchConfig) -> EngineBench {
         workload: "corridor unit-interval batch via interval_l1",
         requests: ENGINE_REQUESTS,
         request_n,
-        available_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        available_parallelism,
         spans_match_sequential: spans_match,
         rows,
         queue_wait: snap.hist(Hist::QueueWait),
@@ -1036,79 +884,6 @@ fn run_incremental_benchmark(cfg: &BenchConfig) -> IncrementalBench {
     }
 }
 
-/// Runs the palette backend head-to-head on the A3 corridor workload.
-///
-/// Both backends solve the *same* generated instance; each repetition is
-/// one cold solve on a fresh [`Workspace::with_palette`] followed by one
-/// warm solve on the same arena. Spans must agree bit-for-bit; the
-/// deterministic `palette_word_scans` / `palette_pop_word_scans`
-/// counters (and the wall times) are what differ.
-pub fn run_palette_benchmark(cfg: &BenchConfig) -> PaletteBench {
-    let n = cfg.n.max(2);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let unit_rep = corridor_unit_intervals(n, 4, &mut rng);
-    let d1_d2 = SeparationVector::two(5, 2).expect("valid (5,2)");
-    let problem = Problem::unit_interval(&unit_rep, &d1_d2);
-
-    let rows: Vec<PaletteBenchRow> = PaletteKind::ALL
-        .into_iter()
-        .map(|palette| {
-            let mut cold_wall = u64::MAX;
-            let mut warm_wall = u64::MAX;
-            let mut span = 0u32;
-            let mut probes = 0u64;
-            let mut word_scans = 0u64;
-            let mut pop_word_scans = 0u64;
-            let mut pop_hist = HistSnapshot::default();
-            for _ in 0..cfg.reps.max(1) {
-                let mut ws = Workspace::with_palette(palette);
-                let (cold_span, cold) =
-                    timed_solve("unit_interval_l_delta1_delta2", &problem, &mut ws);
-                let (warm_span, warm) =
-                    timed_solve("unit_interval_l_delta1_delta2", &problem, &mut ws);
-                debug_assert_eq!(cold_span, warm_span, "warm solves must be bit-identical");
-                span = cold_span;
-                cold_wall = cold_wall.min(cold.phase_ns(Phase::Run));
-                warm_wall = warm_wall.min(warm.phase_ns(Phase::Run));
-                probes = cold.counter(Counter::PaletteProbes);
-                word_scans = cold.counter(Counter::PaletteWordScans);
-                // One `palette_pop` sample per solve, so the cold
-                // snapshot's exact hist sum IS the cold pop-phase tally.
-                pop_word_scans = cold.hist(Hist::PalettePop).sum;
-                pop_hist.merge(&cold.hist(Hist::PalettePop));
-                pop_hist.merge(&warm.hist(Hist::PalettePop));
-            }
-            PaletteBenchRow {
-                palette,
-                span,
-                cold_wall_ns: cold_wall,
-                warm_wall_ns: warm_wall,
-                palette_probes: probes,
-                palette_word_scans: word_scans,
-                palette_pop_word_scans: pop_word_scans,
-                pop_hist,
-            }
-        })
-        .collect();
-
-    let spans_match = rows.windows(2).all(|w| w[0].span == w[1].span);
-    let scans_of = |kind: PaletteKind, f: fn(&PaletteBenchRow) -> u64| {
-        rows.iter().find(|r| r.palette == kind).map_or(0, f)
-    };
-    let list_scans = scans_of(PaletteKind::List, |r| r.palette_word_scans);
-    let bitset_scans = scans_of(PaletteKind::Bitset, |r| r.palette_word_scans);
-    let list_pop = scans_of(PaletteKind::List, |r| r.palette_pop_word_scans);
-    let bitset_pop = scans_of(PaletteKind::Bitset, |r| r.palette_pop_word_scans);
-    PaletteBench {
-        workload: "tight unit-interval corridor (k=4) via unit_interval_l_delta1_delta2",
-        n,
-        rows,
-        spans_match,
-        word_scan_ratio: list_scans as f64 / bitset_scans.max(1) as f64,
-        pop_word_scan_ratio: list_pop as f64 / bitset_pop.max(1) as f64,
-    }
-}
-
 /// Runs all five paper algorithms on deterministic workloads derived from
 /// `cfg` and returns the aggregated report.
 ///
@@ -1181,7 +956,6 @@ pub fn run_benchmarks(cfg: &BenchConfig) -> BenchReport {
         algorithms,
         engine: Some(run_engine_benchmark(cfg)),
         incremental: Some(run_incremental_benchmark(cfg)),
-        palette: Some(run_palette_benchmark(cfg)),
     }
 }
 
@@ -1238,9 +1012,9 @@ mod tests {
         let baseline = Json::parse(&rendered).unwrap();
         let diff = diff_against_baseline(&report, &baseline).unwrap();
         assert!(diff.is_clean(), "{}", diff.render());
-        // 5 algorithm rows + the incremental churn and palette sections.
-        assert_eq!(diff.checked, 7);
-        assert!(diff.render().contains("7 algorithm rows match"));
+        // 5 algorithm rows + the incremental churn section.
+        assert_eq!(diff.checked, 6);
+        assert!(diff.render().contains("6 algorithm rows match"));
     }
 
     #[test]
@@ -1292,8 +1066,9 @@ mod tests {
                 .and_then(|s| s.get("count"))
                 .and_then(Json::as_u64)
                 .unwrap_or_else(|| panic!("{section} summary"));
-            // Warm-up + timed batch at each of the four worker counts.
-            assert_eq!(count, 8 * ENGINE_REQUESTS as u64, "{section}");
+            // Warm-up + timed batches at each of the four worker counts.
+            let batches = ENGINE_WORKER_COUNTS.len() * (1 + ENGINE_TIMED_BATCHES);
+            assert_eq!(count, (batches * ENGINE_REQUESTS) as u64, "{section}");
         }
     }
 
@@ -1324,10 +1099,21 @@ mod tests {
         assert_eq!(workers, ENGINE_WORKER_COUNTS);
         for row in &bench.rows {
             assert!(row.wall_ns > 0, "workers={}", row.workers);
+            assert!(row.wall_ns_min <= row.wall_ns && row.wall_ns <= row.wall_ns_max);
             assert!(row.requests_per_sec > 0.0);
             assert!(row.speedup_vs_1 > 0.0);
+            assert_eq!(
+                row.oversubscribed,
+                row.workers > bench.available_parallelism,
+                "workers={}",
+                row.workers
+            );
         }
         assert!((bench.rows[0].speedup_vs_1 - 1.0).abs() < 1e-12);
+        assert!(
+            !bench.rows[0].oversubscribed,
+            "one worker never oversubscribes"
+        );
     }
 
     #[test]
@@ -1379,8 +1165,8 @@ mod tests {
         let baseline = Json::parse(&report.to_json().render_pretty()).unwrap();
         let diff = diff_against_baseline(&report, &baseline).unwrap();
         assert!(diff.is_clean(), "{}", diff.render());
-        // 5 algorithm rows + the incremental and palette sections.
-        assert_eq!(diff.checked, 7);
+        // 5 algorithm rows + the incremental section.
+        assert_eq!(diff.checked, 6);
         let tampered = report.to_json().render_pretty().replace(
             &format!(
                 "\"span_sum\": {}",
@@ -1408,60 +1194,7 @@ mod tests {
         };
         let diff = diff_against_baseline(&report, &stripped).unwrap();
         assert!(diff.is_clean(), "{}", diff.render());
-        assert_eq!(diff.checked, 6);
-    }
-
-    #[test]
-    fn palette_section_pins_span_equality_and_work_reduction() {
-        let report = run_benchmarks(&small());
-        let pal = report.palette.as_ref().expect("palette section");
-        assert!(pal.spans_match);
-        assert_eq!(pal.rows.len(), 2);
-        assert_eq!(pal.rows[0].palette, PaletteKind::List);
-        assert_eq!(pal.rows[1].palette, PaletteKind::Bitset);
-        assert_eq!(pal.rows[0].span, pal.rows[1].span);
-        // Probe parity is exact; word-scan work must strictly favor the
-        // bitset on this probe-dominated workload.
-        assert_eq!(pal.rows[0].palette_probes, pal.rows[1].palette_probes);
-        assert!(
-            pal.rows[1].palette_word_scans < pal.rows[0].palette_word_scans,
-            "bitset {} should beat list {}",
-            pal.rows[1].palette_word_scans,
-            pal.rows[0].palette_word_scans
-        );
-        assert!(pal.word_scan_ratio > 1.0);
-        // The probe-phase slice is where the structural gap lives: a list
-        // pop splices pointers, a bitset pop clears one bit. Pin the ≥2x
-        // reduction the corridor workload delivers.
-        assert!(
-            pal.pop_word_scan_ratio >= 2.0,
-            "pop-phase ratio {} (list {} vs bitset {})",
-            pal.pop_word_scan_ratio,
-            pal.rows[0].palette_pop_word_scans,
-            pal.rows[1].palette_pop_word_scans
-        );
-        // One palette_pop sample per solve: reps * (cold + warm).
-        assert_eq!(pal.rows[0].pop_hist.count(), 4);
-        // The JSON section carries the rows; tampering with a span drifts.
-        let doc = Json::parse(&report.to_json().render_pretty()).unwrap();
-        let rows = doc
-            .get("palette")
-            .and_then(|p| p.get("rows"))
-            .and_then(Json::as_array)
-            .expect("palette rows");
-        assert_eq!(rows.len(), 2);
-        let mut doctored = report.clone();
-        doctored.palette.as_mut().unwrap().rows[1].span += 1;
-        let tampered = Json::parse(&doctored.to_json().render_pretty()).unwrap();
-        let diff = diff_against_baseline(&report, &tampered).unwrap();
-        assert!(
-            diff.drifts.iter().any(|d| d.contains("palette/bitset")),
-            "{}",
-            diff.render()
-        );
-        let text = report.to_text();
-        assert!(text.contains("palette backends"));
-        assert!(!text.contains("WARNING: palette"));
+        assert_eq!(diff.checked, 5);
     }
 
     #[test]

@@ -5,15 +5,12 @@
 //! ssg gen platoon  <n> <k> [seed]    # tight unit-interval platoon
 //! ssg gen backbone <n> [seed]        # random degree-4 tree
 //! ssg classify <file>                # certify the graph class
-//! ssg color <file> <d1[,d2,...]> [--palette list|bitset]
-//!           [--format text|json] [--trace]
+//! ssg color <file> <d1[,d2,...]> [--format text|json] [--trace]
 //!                                    # auto-dispatch an L(δ...) coloring;
-//!                                    # --palette picks the workspace's
-//!                                    # palette backend (default bitset);
 //!                                    # --trace prints the span log to
 //!                                    # stderr
 //! ssg batch <file.reqs> [--workers N] [--queue-cap N] [--fail-fast]
-//!           [--palette list|bitset] [--format text|json] [--trace]
+//!           [--format text|json] [--trace]
 //!           [--trace-dump <path>] [--trace-export <path>]
 //!                                    # run a request file through the
 //!                                    # sharded batch engine; batch always
@@ -35,13 +32,8 @@
 //! ssg metrics [--n N] [--seed S]     # run a standard workload and print
 //!                                    # Prometheus text exposition
 //! ssg bench [--format text|json] [--n N] [--reps R] [--seed S]
-//!           [--repeat K] [--palette list|bitset]
-//!           [--compare BASELINE.json]
-//!                                    # run A1-A5 with telemetry; the
-//!                                    # palette section always measures
-//!                                    # list vs bitset head to head,
-//!                                    # --palette picks the backend for
-//!                                    # everything else;
+//!           [--repeat K] [--compare BASELINE.json]
+//!                                    # run A1-A5 with telemetry;
 //!                                    # --format json emits an
 //!                                    # ssg-bench/v2 report (latency
 //!                                    # histograms included); --repeat K>1 adds
@@ -51,7 +43,7 @@
 //!                                    # v2 report and exits 1 on any
 //!                                    # drift
 //! ssg lab run <spec.lab> --dir DIR [--baseline TABLE.json]
-//!            [--palette list|bitset] [--format text|json]
+//!            [--format text|json]
 //!                                    # expand the spec's scenario matrix
 //!                                    # and run every cell not already in
 //!                                    # DIR's row log; one flushed
@@ -63,12 +55,9 @@
 //!                                    # json prints the deterministic
 //!                                    # table (the committed baseline
 //!                                    # artifact)
-//! ssg lab resume <dir> [--baseline TABLE.json] [--palette list|bitset]
-//!            [--format text|json]
+//! ssg lab resume <dir> [--baseline TABLE.json] [--format text|json]
 //!                                    # continue an interrupted run from
-//!                                    # the spec pinned in <dir>; --palette
-//!                                    # re-runs cells without a spec-pinned
-//!                                    # palette on the named backend
+//!                                    # the spec pinned in <dir>
 //! ssg lab report <dir> [--format text|json]
 //!                                    # rebuild the table from <dir>'s
 //!                                    # rows without executing anything
@@ -160,12 +149,11 @@ use std::time::Duration;
 use strongly_simplicial::bench::{diff_against_baseline, run_benchmarks, BenchConfig};
 use strongly_simplicial::engine::{Backpressure, Engine, LabelRequest, LabelResponse};
 use strongly_simplicial::lab::{
-    load_dir_spec, render_drifts, render_table_text, report_dir, run_lab_with_palette, LabSpec,
-    LabSummary,
+    load_dir_spec, render_drifts, render_table_text, report_dir, run_lab, LabSpec, LabSummary,
 };
 use strongly_simplicial::labeling::auto::Guarantee;
 use strongly_simplicial::labeling::solver::{default_registry, Problem};
-use strongly_simplicial::labeling::{all_violations, PaletteKind, SeparationVector, Workspace};
+use strongly_simplicial::labeling::{all_violations, SeparationVector, Workspace};
 use strongly_simplicial::netsim::{
     simulate_corridor, simulate_corridor_incremental, BackboneNetwork, ChurnReport,
     CorridorNetwork, DynamicsConfig, Policy, VehicularNetwork,
@@ -275,16 +263,6 @@ fn parse_format<'a, I: Iterator<Item = &'a String>>(
             "{cmd}: --format must be `text` or `json`, got `{other}`"
         ))),
     }
-}
-
-/// `--palette list|bitset`.
-fn parse_palette<'a, I: Iterator<Item = &'a String>>(
-    cmd: &str,
-    it: &mut I,
-) -> Result<PaletteKind, SsgError> {
-    flag_value(cmd, "--palette", it)?
-        .parse()
-        .map_err(|e: String| SsgError::Usage(format!("{cmd}: --palette: {e}")))
 }
 
 /// A positional argument that must parse as `T`.
@@ -459,23 +437,17 @@ fn print_trace(recorder: &FlightRecorder) {
 }
 
 fn cmd_color(args: &[String]) -> Result<i32, SsgError> {
-    let usage = || {
-        SsgError::Usage(
-            "ssg color <file> <d1[,d2,...]> [--palette list|bitset] [--format text|json] [--trace]"
-                .into(),
-        )
-    };
+    let usage =
+        || SsgError::Usage("ssg color <file> <d1[,d2,...]> [--format text|json] [--trace]".into());
     let (path, sep_spec) = match (args.first(), args.get(1)) {
         (Some(p), Some(s)) => (p, s),
         _ => return Err(usage()),
     };
     let mut format = OutputFormat::Text;
     let mut trace = false;
-    let mut palette = PaletteKind::default();
     let mut it = args[2..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--palette" => palette = parse_palette("color", &mut it)?,
             "--format" => format = parse_format("color", &mut it)?,
             "--trace" => trace = true,
             other => {
@@ -485,7 +457,7 @@ fn cmd_color(args: &[String]) -> Result<i32, SsgError> {
     }
     let sep = parse_separations("color", sep_spec)?;
     let g = read_graph(path)?;
-    let mut ws = Workspace::with_palette(palette);
+    let mut ws = Workspace::new();
     let metrics = if trace {
         Metrics::with_tracing(4096)
     } else {
@@ -676,7 +648,7 @@ fn cmd_batch(args: &[String]) -> Result<i32, SsgError> {
     let path = args.first().ok_or_else(|| {
         SsgError::Usage(
             "ssg batch <file.reqs> [--workers N] [--queue-cap N] [--fail-fast] \
-             [--palette list|bitset] [--format text|json] [--trace] [--trace-dump <path>] \
+             [--format text|json] [--trace] [--trace-dump <path>] \
              [--trace-export <path>]"
                 .into(),
         )
@@ -688,11 +660,9 @@ fn cmd_batch(args: &[String]) -> Result<i32, SsgError> {
     let mut trace = false;
     let mut trace_dump: Option<String> = None;
     let mut trace_export: Option<String> = None;
-    let mut palette = PaletteKind::default();
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--palette" => palette = parse_palette("batch", &mut it)?,
             "--workers" => {
                 let w: usize = parse_flag("batch", "--workers", &mut it)?;
                 if w < 1 {
@@ -730,7 +700,6 @@ fn cmd_batch(args: &[String]) -> Result<i32, SsgError> {
     let metrics = Metrics::with_tracing(BATCH_RECORDER_CAPACITY);
     let mut builder = Engine::builder()
         .backpressure(backpressure)
-        .palette(palette)
         .metrics(metrics.clone());
     if let Some(w) = workers {
         builder = builder.workers(w);
@@ -1140,10 +1109,9 @@ fn cmd_bench(args: &[String]) -> Result<i32, SsgError> {
                 }
                 cfg = cfg.repeat(k);
             }
-            "--palette" => cfg = cfg.palette(parse_palette("bench", &mut it)?),
             other => {
                 return Err(SsgError::Usage(format!(
-                    "bench: unknown flag '{other}' (usage: ssg bench [--format text|json] [--n N] [--reps R] [--seed S] [--repeat K] [--palette list|bitset] [--compare BASELINE.json])"
+                    "bench: unknown flag '{other}' (usage: ssg bench [--format text|json] [--n N] [--reps R] [--seed S] [--repeat K] [--compare BASELINE.json])"
                 )));
             }
         }
@@ -1173,9 +1141,9 @@ fn cmd_bench(args: &[String]) -> Result<i32, SsgError> {
 // ---------------------------------------------------------------------------
 
 const LAB_USAGE: &str = "ssg lab run <spec.lab> --dir DIR [--baseline TABLE.json] \
-                         [--palette list|bitset] [--format text|json] | \
+                         [--format text|json] | \
                          ssg lab resume <dir> [--baseline TABLE.json] \
-                         [--palette list|bitset] [--format text|json] | \
+                         [--format text|json] | \
                          ssg lab report <dir> [--format text|json]";
 
 /// Reads and parses one JSON document (a committed lab baseline table).
@@ -1195,16 +1163,12 @@ fn read_json_file(path: &str) -> Result<Json, SsgError> {
 /// the artifact committed as a baseline. With `--baseline` the table is
 /// diffed with the same span-drift discipline as `ssg bench --compare`
 /// (exit 1 on drift, flight-recorder dump next to each offending row).
-/// `--palette` re-runs the matrix on the named palette backend for cells
-/// whose spec does not pin one — spans are palette-invariant, so the same
-/// committed baseline gates both backends.
 fn cmd_lab(args: &[String]) -> Result<i32, SsgError> {
     let usage = || SsgError::Usage(LAB_USAGE.into());
     let verb = args.first().map(String::as_str).ok_or_else(usage)?;
     let mut positional: Vec<&String> = Vec::new();
     let mut dir: Option<String> = None;
     let mut baseline_path: Option<String> = None;
-    let mut palette: Option<PaletteKind> = None;
     let mut format = OutputFormat::Text;
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
@@ -1213,7 +1177,6 @@ fn cmd_lab(args: &[String]) -> Result<i32, SsgError> {
             "--baseline" => {
                 baseline_path = Some(flag_value("lab", "--baseline", &mut it)?.to_string());
             }
-            "--palette" => palette = Some(parse_palette("lab", &mut it)?),
             "--format" => format = parse_format("lab", &mut it)?,
             other if other.starts_with("--") => {
                 return Err(SsgError::Usage(format!(
@@ -1234,12 +1197,7 @@ fn cmd_lab(args: &[String]) -> Result<i32, SsgError> {
             let text = std::fs::read_to_string(spec_path.as_str())
                 .map_err(|e| SsgError::io(spec_path.as_str(), &e))?;
             let spec = LabSpec::parse(&text)?;
-            run_lab_with_palette(
-                std::path::Path::new(&dir),
-                &spec,
-                baseline.as_ref(),
-                palette,
-            )?
+            run_lab(std::path::Path::new(&dir), &spec, baseline.as_ref())?
         }
         "resume" => {
             let dir = positional
@@ -1247,17 +1205,12 @@ fn cmd_lab(args: &[String]) -> Result<i32, SsgError> {
                 .ok_or_else(|| SsgError::Usage("lab resume: missing <dir>".into()))?;
             let dir = std::path::Path::new(dir.as_str());
             let spec = load_dir_spec(dir)?;
-            run_lab_with_palette(dir, &spec, baseline.as_ref(), palette)?
+            run_lab(dir, &spec, baseline.as_ref())?
         }
         "report" => {
             if baseline.is_some() {
                 return Err(SsgError::Usage(
                     "lab report: --baseline only applies to `lab run` / `lab resume`".into(),
-                ));
-            }
-            if palette.is_some() {
-                return Err(SsgError::Usage(
-                    "lab report: --palette only applies to `lab run` / `lab resume`".into(),
                 ));
             }
             let dir = positional

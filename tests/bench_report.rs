@@ -8,10 +8,8 @@
 //!   emitted document is valid JSON carrying the advertised fields.
 
 use strongly_simplicial::bench::{
-    run_benchmarks, AlgorithmBench, BenchConfig, BenchReport, IncrementalBench, PaletteBench,
-    PaletteBenchRow,
+    run_benchmarks, AlgorithmBench, BenchConfig, BenchReport, IncrementalBench,
 };
-use strongly_simplicial::labeling::PaletteKind;
 use strongly_simplicial::telemetry::{Counter, HistSnapshot, Histogram, Metrics, Snapshot};
 
 /// A deterministic solve-time distribution from fixed observations.
@@ -73,35 +71,6 @@ fn synthetic_report() -> BenchReport {
             full_resolves: 1,
             dirty_low_churn: 40,
             dirty_high_churn: 200,
-        }),
-        palette: Some(PaletteBench {
-            workload: "synthetic",
-            n: 12,
-            rows: vec![
-                PaletteBenchRow {
-                    palette: PaletteKind::List,
-                    span: 4,
-                    cold_wall_ns: 3000,
-                    warm_wall_ns: 2000,
-                    palette_probes: 34,
-                    palette_word_scans: 300,
-                    palette_pop_word_scans: 200,
-                    pop_hist: fixed_hist(&[200, 200]),
-                },
-                PaletteBenchRow {
-                    palette: PaletteKind::Bitset,
-                    span: 4,
-                    cold_wall_ns: 1500,
-                    warm_wall_ns: 1000,
-                    palette_probes: 34,
-                    palette_word_scans: 120,
-                    palette_pop_word_scans: 80,
-                    pop_hist: fixed_hist(&[80, 80]),
-                },
-            ],
-            spans_match: true,
-            word_scan_ratio: 2.5,
-            pop_word_scan_ratio: 2.5,
         }),
     }
 }
@@ -225,6 +194,18 @@ fn real_report_round_trips_through_json() {
             parsed.get("wall_ns").unwrap().as_u64(),
             Some(original.wall_ns)
         );
+        assert_eq!(
+            parsed.get("wall_ns_min").unwrap().as_u64(),
+            Some(original.wall_ns_min)
+        );
+        assert_eq!(
+            parsed.get("wall_ns_max").unwrap().as_u64(),
+            Some(original.wall_ns_max)
+        );
+        assert_eq!(
+            parsed.get("oversubscribed"),
+            Some(&Value::Bool(original.oversubscribed))
+        );
     }
 
     // The incremental churn section rides along too, with its span
@@ -239,41 +220,6 @@ fn real_report_round_trips_through_json() {
     assert_eq!(inc.get("spans_match"), Some(&Value::Bool(expected.spans_match)));
     assert!(expected.spans_match, "incremental spans must match from-scratch");
 
-    // The palette head-to-head section: both backends present, spans
-    // pinned equal, and the bitset strictly cheaper in word scans.
-    let pal = value.get("palette").unwrap();
-    let expected = report.palette.as_ref().unwrap();
-    assert!(expected.spans_match, "palette spans must be bit-identical");
-    assert_eq!(pal.get("spans_match"), Some(&Value::Bool(true)));
-    let rows = pal.get("rows").unwrap().as_array().unwrap();
-    assert_eq!(rows.len(), 2);
-    for (parsed, original) in rows.iter().zip(&expected.rows) {
-        assert_eq!(
-            parsed.get("palette").unwrap().as_str(),
-            Some(original.palette.as_str())
-        );
-        assert_eq!(
-            parsed.get("span").unwrap().as_u64(),
-            Some(u64::from(original.span))
-        );
-        assert_eq!(
-            parsed.get("palette_word_scans").unwrap().as_u64(),
-            Some(original.palette_word_scans)
-        );
-        assert_eq!(
-            parsed.get("palette_pop_word_scans").unwrap().as_u64(),
-            Some(original.palette_pop_word_scans)
-        );
-        assert!(parsed.get("palette_pop").unwrap().get("count").is_some());
-    }
-    assert!(
-        expected.rows[1].palette_word_scans < expected.rows[0].palette_word_scans,
-        "bitset must reduce palette word traffic"
-    );
-    assert!(
-        expected.rows[1].palette_pop_word_scans < expected.rows[0].palette_pop_word_scans,
-        "bitset must reduce pop-phase word traffic"
-    );
 }
 
 #[test]
