@@ -1,5 +1,6 @@
-//! E8 — rayon sweep throughput: the experiment harness's parallel grid
-//! runner vs its sequential twin over a realistic parameter grid.
+//! E8 — sweep throughput: the experiment harness's engine backend (one
+//! worker per core, the backend the scenario lab runs) vs its sequential
+//! twin over a realistic parameter grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -22,8 +23,11 @@ fn bench_sweep(c: &mut Criterion) {
         .flat_map(|&n| [2u32, 4].map(|t| (n, t)))
         .collect();
     let seeds: Vec<u64> = (0..8).collect();
-    group.bench_function("rayon", |b| {
-        let runner = GridRunner::new();
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    group.bench_function("engine", |b| {
+        let runner = GridRunner::new().backend(GridBackend::Engine { workers });
         b.iter(|| runner.run(&params, &seeds, assignment_cell))
     });
     group.bench_function("sequential", |b| {

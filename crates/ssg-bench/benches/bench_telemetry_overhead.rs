@@ -4,10 +4,12 @@
 //! Three variants of the same Theorem-1 interval sweep:
 //!
 //! * `seed_api` — the original un-instrumented entry point `l1_coloring`
-//!   (which now delegates to a disabled handle internally);
-//! * `disabled` — `l1_coloring_with` called explicitly with
-//!   `Metrics::disabled()`;
-//! * `enabled` — `l1_coloring_with` with a recording handle.
+//!   (which delegates to `l1_coloring_ws` on a fresh `Workspace` and a
+//!   disabled handle internally);
+//! * `disabled` — `l1_coloring_ws` called explicitly with a fresh
+//!   `Workspace` and `Metrics::disabled()` (the same code path);
+//! * `enabled` — `l1_coloring_ws` with a fresh `Workspace` and a recording
+//!   handle.
 //!
 //! `seed_api` and `disabled` must be within noise of each other (they run
 //! the identical code); `enabled` bounds the cost of actually recording.
@@ -18,8 +20,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssg_bench::{interval_workload, tree_workload};
-use ssg_labeling::interval::{l1_coloring, l1_coloring_with};
-use ssg_labeling::tree::l1_coloring_with as tree_l1_with;
+use ssg_labeling::interval::{l1_coloring, l1_coloring_ws};
+use ssg_labeling::tree::l1_coloring_ws as tree_l1_ws;
+use ssg_labeling::Workspace;
 use ssg_telemetry::{Hist, Metrics};
 
 fn bench_interval_overhead(c: &mut Criterion) {
@@ -34,11 +37,11 @@ fn bench_interval_overhead(c: &mut Criterion) {
     });
     let disabled = Metrics::disabled();
     group.bench_with_input(BenchmarkId::from_parameter("disabled"), &rep, |b, rep| {
-        b.iter(|| l1_coloring_with(rep, t, &disabled))
+        b.iter(|| l1_coloring_ws(rep, t, &mut Workspace::new(), &disabled))
     });
     let enabled = Metrics::enabled();
     group.bench_with_input(BenchmarkId::from_parameter("enabled"), &rep, |b, rep| {
-        b.iter(|| l1_coloring_with(rep, t, &enabled))
+        b.iter(|| l1_coloring_ws(rep, t, &mut Workspace::new(), &enabled))
     });
     group.finish();
 }
@@ -52,11 +55,11 @@ fn bench_tree_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     let disabled = Metrics::disabled();
     group.bench_with_input(BenchmarkId::from_parameter("disabled"), &tree, |b, tree| {
-        b.iter(|| tree_l1_with(tree, t, &disabled))
+        b.iter(|| tree_l1_ws(tree, t, &mut Workspace::new(), &disabled))
     });
     let enabled = Metrics::enabled();
     group.bench_with_input(BenchmarkId::from_parameter("enabled"), &tree, |b, tree| {
-        b.iter(|| tree_l1_with(tree, t, &enabled))
+        b.iter(|| tree_l1_ws(tree, t, &mut Workspace::new(), &enabled))
     });
     group.finish();
 }

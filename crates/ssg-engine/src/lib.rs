@@ -19,12 +19,11 @@
 //!   parks the submitter until a worker frees a slot, while
 //!   [`Backpressure::FailFast`] returns [`SsgError::QueueFull`]
 //!   immediately. The caller picks the policy at build time.
-//! * **Workspace leases.** Each worker leases one warm
-//!   [`Workspace`] from a shared
-//!   [`WorkspacePool`] for its whole lifetime, so repeated same-shaped
-//!   solves hit the zero-allocation path exactly as the sequential
-//!   `*_ws` entry points do. A lease is replaced with a fresh arena
-//!   after a caught panic (the old one may be mid-mutation).
+//! * **Worker workspaces.** Each worker owns one warm [`Workspace`] for
+//!   its whole lifetime, so repeated same-shaped solves hit the
+//!   zero-allocation path exactly as the sequential `*_ws` entry points
+//!   do. It is replaced with a fresh arena after a caught panic (the old
+//!   one may be mid-mutation).
 //! * **Panic isolation.** Solver panics are caught per request with
 //!   `catch_unwind` and surfaced as [`SsgError::WorkerPanic`]; the
 //!   worker thread survives and keeps serving.
@@ -67,7 +66,7 @@ use ssg_error::SsgError;
 use ssg_graph::Graph;
 use ssg_intervals::{IntervalRepresentation, UnitIntervalRepresentation};
 use ssg_labeling::solver::Problem;
-use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, Workspace, WorkspacePool};
+use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, Workspace};
 use ssg_telemetry::{Counter, Gauge, Hist, Metrics, Phase};
 use ssg_tree::RootedTree;
 use std::collections::VecDeque;
@@ -302,7 +301,6 @@ struct Inner {
     next_shard: AtomicUsize,
     next_seq: AtomicUsize,
     registry: Arc<SolverRegistry>,
-    pool: Arc<WorkspacePool>,
     metrics: Metrics,
     stats: StatCells,
 }
@@ -315,7 +313,6 @@ pub struct EngineBuilder {
     queue_capacity: usize,
     backpressure: Backpressure,
     registry: Option<Arc<SolverRegistry>>,
-    pool: Option<Arc<WorkspacePool>>,
     metrics: Metrics,
 }
 
@@ -338,7 +335,6 @@ impl Default for EngineBuilder {
             queue_capacity: 64,
             backpressure: Backpressure::Block,
             registry: None,
-            pool: None,
             metrics: Metrics::disabled(),
         }
     }
@@ -375,14 +371,6 @@ impl EngineBuilder {
         self
     }
 
-    /// The workspace pool workers lease arenas from (default: a fresh
-    /// pool). Sharing a pool across engines shares the warm arenas.
-    #[must_use]
-    pub fn pool(mut self, pool: Arc<WorkspacePool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Telemetry handle engine counters and solver counters land on
     /// (default: disabled).
     #[must_use]
@@ -408,7 +396,6 @@ impl EngineBuilder {
             registry: self
                 .registry
                 .unwrap_or_else(|| Arc::new(SolverRegistry::with_paper_algorithms())),
-            pool: self.pool.unwrap_or_default(),
             metrics: self.metrics,
             stats: StatCells::default(),
         });
@@ -417,10 +404,7 @@ impl EngineBuilder {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("ssg-engine-{me}"))
-                    .spawn(move || {
-                        let pool = Arc::clone(&inner.pool);
-                        pool.with(|ws| worker_loop(&inner, me, ws));
-                    })
+                    .spawn(move || worker_loop(&inner, me, &mut Workspace::new()))
                     .expect("failed to spawn engine worker")
             })
             .collect();
@@ -543,7 +527,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs an arbitrary closure on a worker, with that worker's leased
+    /// Runs an arbitrary closure on a worker, with that worker's own
     /// warm [`Workspace`] — the escape hatch parallel sweeps use to run
     /// non-request work (e.g. whole-simulation cells) through the same
     /// shards, stealing, and backpressure. Panics inside the closure are
@@ -738,7 +722,7 @@ impl Inner {
     }
 
     fn record_panic(&self, ws: &mut Workspace) {
-        // The arena may be mid-mutation; a fresh one keeps the lease sound.
+        // The arena may be mid-mutation; a fresh one keeps the worker sound.
         *ws = Workspace::new();
         self.metrics.add(Counter::EnginePanics, 1);
         self.stats.panics.fetch_add(1, Ordering::Relaxed);
@@ -1168,7 +1152,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_runs_closures_on_leased_workspaces() {
+    fn execute_runs_closures_on_worker_workspaces() {
         let engine = Engine::builder().workers(2).build();
         let (tx, rx) = mpsc::channel();
         for i in 0..8u32 {

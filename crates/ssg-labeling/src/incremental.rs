@@ -30,7 +30,6 @@
 //! per outcome, [`Counter::DirtyVertices`] summed over region sizes, and
 //! the [`Hist::RegionSize`] distribution (in vertices, not nanoseconds).
 
-use crate::solver::{Problem, SolverRegistry};
 use crate::spec::{Labeling, SeparationVector};
 use crate::workspace::Workspace;
 use ssg_graph::{Graph, Vertex, UNREACHABLE};
@@ -41,22 +40,12 @@ use std::collections::VecDeque;
 /// such vertices must lie inside the dirty region.
 pub const UNCOLORED: u32 = u32::MAX;
 
-/// Tuning knobs for [`IncrementalSolver`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncrementalConfig {
-    /// Fall back to a full resolve when the dirty region exceeds this
-    /// fraction of the vertex count — past that point the patch pass costs
-    /// as much as a fresh solve without its optimality-by-construction.
-    pub region_threshold: f64,
-}
-
-impl Default for IncrementalConfig {
-    fn default() -> Self {
-        IncrementalConfig {
-            region_threshold: 0.25,
-        }
-    }
-}
+/// Fall back to a full resolve when the dirty region exceeds this fraction
+/// of the vertex count. Every patch is certificate-gated, so a generous cap
+/// is safe: past half the graph a fresh solve genuinely is cheaper, but
+/// below that the patch (and a caller's staged retries) should get their
+/// chance.
+const REGION_THRESHOLD: f64 = 0.5;
 
 /// Why an incremental attempt fell back to the full resolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +53,7 @@ pub enum FallbackReason {
     /// No certified span lower bound was supplied (e.g. the cached witness
     /// was invalidated by the delta's removal closure).
     NoLowerBound,
-    /// The dirty region exceeded [`IncrementalConfig::region_threshold`].
+    /// The dirty region exceeded half the vertex count.
     RegionTooLarge,
     /// A vertex outside the dirty region carried no color.
     UncoloredOutsideRegion,
@@ -99,15 +88,14 @@ impl IncrementalOutcome {
     }
 }
 
-/// Region recoloring layer over the [`SolverRegistry`]: freezes colors
-/// outside a dirty region, recolors inside it against the frozen boundary,
-/// and falls back to a full resolve whenever it cannot *prove* the patch
-/// matches a fresh solve. Owns its own ball/window scratch (reset by
+/// Region recoloring layer: freezes colors outside a dirty region,
+/// recolors inside it against the frozen boundary, and falls back to the
+/// caller's full resolve whenever it cannot *prove* the patch matches a
+/// fresh solve. Owns its own ball/window scratch (reset by
 /// touched-entry lists, so a solve costs `O(region balls)`, not `O(n)`);
 /// borrows color buffers from the shared [`Workspace`] arena.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
-    config: IncrementalConfig,
     /// Truncated-BFS distances, all-[`UNREACHABLE`] between solves.
     dist: Vec<u32>,
     queue: VecDeque<Vertex>,
@@ -119,17 +107,9 @@ pub struct IncrementalSolver {
 }
 
 impl IncrementalSolver {
-    /// A solver with the default configuration.
+    /// A solver with empty scratch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A solver with explicit tuning.
-    pub fn with_config(config: IncrementalConfig) -> Self {
-        IncrementalSolver {
-            config,
-            ..Self::default()
-        }
     }
 
     /// How many times any scratch buffer had to grow; stable across warm
@@ -143,38 +123,11 @@ impl IncrementalSolver {
         self.dist.capacity() + self.queue.capacity() + self.ball.capacity() + self.windows.capacity()
     }
 
-    /// [`resolve_with`](Self::resolve_with) with the full resolve routed
-    /// through a [`SolverRegistry`] entry — the registry-dispatch shape of
-    /// the same layer. `g` must be the graph `problem` describes (the
-    /// patched topology); `solver` names the registered full-resolve
-    /// algorithm for the instance's class.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve(
-        &mut self,
-        registry: &SolverRegistry,
-        solver: &str,
-        g: &Graph,
-        problem: &Problem<'_>,
-        prev: &[u32],
-        dirty: &[Vertex],
-        lower_bound: Option<u32>,
-        ws: &mut Workspace,
-        metrics: &Metrics,
-    ) -> IncrementalOutcome {
-        self.resolve_with(
-            g,
-            problem.sep,
-            prev,
-            dirty,
-            lower_bound,
-            |ws, m| registry.solve(solver, problem, ws, m),
-            ws,
-            metrics,
-        )
-    }
-
     /// Patches `prev` over the dirty region of the (already patched) graph
-    /// `g`, or runs `full` when the patch cannot be certified.
+    /// `g`, or runs `full` when the patch cannot be certified: one
+    /// [`try_patch_ordered`](Self::try_patch_ordered) attempt in vertex-id
+    /// order, finished by [`fallback_resolve`](Self::fallback_resolve) on
+    /// failure.
     ///
     /// * `prev` — one color per vertex of `g`, valid for `sep` on every
     ///   pair outside the dirty region; [`UNCOLORED`] marks fresh vertices
@@ -201,33 +154,7 @@ impl IncrementalSolver {
     where
         F: FnOnce(&mut Workspace, &Metrics) -> Labeling,
     {
-        self.resolve_ordered_with(g, sep, prev, dirty, dirty, lower_bound, full, ws, metrics)
-    }
-
-    /// [`resolve_with`](Self::resolve_with) with an explicit coloring
-    /// order for the region. `dirty` stays the sorted region membership;
-    /// `order` must be a permutation of it and controls only the sequence
-    /// greedy first-fit assigns colors in. Structure-aware callers exploit
-    /// this: coloring an interval region by left endpoint mirrors the
-    /// optimal Figure-1 sweep, so large patches hit the witness bound far
-    /// more often than in vertex-id order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_ordered_with<F>(
-        &mut self,
-        g: &Graph,
-        sep: &SeparationVector,
-        prev: &[u32],
-        dirty: &[Vertex],
-        order: &[Vertex],
-        lower_bound: Option<u32>,
-        full: F,
-        ws: &mut Workspace,
-        metrics: &Metrics,
-    ) -> IncrementalOutcome
-    where
-        F: FnOnce(&mut Workspace, &Metrics) -> Labeling,
-    {
-        match self.try_patch_ordered(g, sep, prev, dirty, order, lower_bound, ws, metrics) {
+        match self.try_patch_ordered(g, sep, prev, dirty, dirty, lower_bound, ws, metrics) {
             Ok(outcome) => outcome,
             Err(reason) => self.fallback_resolve(reason, dirty.len(), full, ws, metrics),
         }
@@ -235,13 +162,18 @@ impl IncrementalSolver {
 
     /// One certified patch *attempt*: recolors the region and returns
     /// `Err(reason)` instead of running a full resolve when the patch
-    /// cannot be certified. Callers that can cheaply improve their odds —
-    /// e.g. by retrying with a wider region (any superset of the distance-t
-    /// closure is sound) or a refreshed bound — chain attempts and finish
-    /// with [`fallback_resolve`](Self::fallback_resolve), which keeps the
-    /// per-outcome telemetry contract intact: a failed attempt records
-    /// *nothing*, a successful one records the region counters and one
-    /// [`Counter::RegionRecolors`].
+    /// cannot be certified. `dirty` is the sorted region membership;
+    /// `order` must be a permutation of it and controls only the sequence
+    /// greedy first-fit assigns colors in. Structure-aware callers exploit
+    /// this: coloring an interval region by left endpoint mirrors the
+    /// optimal Figure-1 sweep, so large patches hit the witness bound far
+    /// more often than in vertex-id order. Callers that can cheaply improve
+    /// their odds — e.g. by retrying with a wider region (any superset of
+    /// the distance-t closure is sound) or a refreshed bound — chain
+    /// attempts and finish with [`fallback_resolve`](Self::fallback_resolve),
+    /// which keeps the per-outcome telemetry contract intact: a failed
+    /// attempt records *nothing*, a successful one records the region
+    /// counters and one [`Counter::RegionRecolors`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_patch_ordered(
         &mut self,
@@ -391,7 +323,7 @@ impl IncrementalSolver {
         if lower_bound.is_none() {
             return Some(FallbackReason::NoLowerBound);
         }
-        if dirty.len() as f64 > self.config.region_threshold * n as f64 {
+        if dirty.len() as f64 > REGION_THRESHOLD * n as f64 {
             return Some(FallbackReason::RegionTooLarge);
         }
         let mut di = 0usize;
@@ -598,9 +530,7 @@ mod tests {
         let g = path(8);
         let prev = vec![0u32; 8];
         let dirty: Vec<Vertex> = (0..8).collect();
-        let mut inc = IncrementalSolver::with_config(IncrementalConfig {
-            region_threshold: 0.5,
-        });
+        let mut inc = IncrementalSolver::new();
         let mut ws = Workspace::new();
         let outcome = inc.resolve_with(
             &g,
@@ -673,41 +603,13 @@ mod tests {
             &mut ws,
             &m,
         );
-        // dirty = {1, 2} (threshold 0.25 of 4 is 1, so RegionTooLarge) or
-        // the span gate — either way the full resolve must run and win.
+        // The region cap or the span gate trips — either way the full
+        // resolve must run and win.
         assert!(outcome.full_resolve());
         assert!(verify_labeling(&g_new, &sep, outcome.labeling.colors()).is_ok());
         let (_, fresh) = exact_min_span(&g_new, &sep);
         assert_eq!(outcome.labeling.span(), fresh);
         assert_eq!(m.snapshot().counter(Counter::FullResolves), 1);
-    }
-
-    #[test]
-    fn registry_layer_dispatches_full_resolve() {
-        let sep = SeparationVector::all_ones(2);
-        let g = path(6);
-        let registry = crate::solver::default_registry();
-        let problem = Problem::graph(&g, &sep);
-        let prev = vec![UNCOLORED; 6];
-        let dirty: Vec<Vertex> = (0..6).collect();
-        let mut inc = IncrementalSolver::new();
-        let mut ws = Workspace::new();
-        let m = Metrics::enabled();
-        // Region covers everything -> guaranteed fallback through the
-        // registry's greedy solver.
-        let outcome = inc.resolve(
-            registry,
-            "greedy_bfs",
-            &g,
-            &problem,
-            &prev,
-            &dirty,
-            Some(0),
-            &mut ws,
-            &m,
-        );
-        assert!(outcome.full_resolve());
-        assert!(verify_labeling(&g, &sep, outcome.labeling.colors()).is_ok());
     }
 
     #[test]

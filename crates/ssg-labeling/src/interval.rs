@@ -42,26 +42,15 @@ pub struct IntervalL1Output {
 /// assert_eq!(out.lambda_star, 3); // everything within distance 2
 /// ```
 pub fn l1_coloring(rep: &IntervalRepresentation, t: u32) -> IntervalL1Output {
-    l1_coloring_with(rep, t, &Metrics::disabled())
+    l1_coloring_ws(rep, t, &mut Workspace::new(), &Metrics::disabled())
 }
 
-/// [`l1_coloring`] with telemetry: records one
-/// [`Counter::PeelSteps`] per colored vertex and the palette probes of the
-/// sweep on `metrics`.
-pub fn l1_coloring_with(
-    rep: &IntervalRepresentation,
-    t: u32,
-    metrics: &Metrics,
-) -> IntervalL1Output {
-    l1_coloring_ws(rep, t, &mut Workspace::new(), metrics)
-}
-
-/// [`l1_coloring_with`] on a caller-owned [`Workspace`]: repeated solves
-/// on same-sized representations reuse every scratch buffer (zero heap
-/// allocation once warm; disconnected inputs still allocate their
-/// per-component sub-representations) and record
-/// [`Counter::WorkspaceReuses`]. Outputs and all other counters are
-/// bit-identical to [`l1_coloring_with`]. Recycle the output via
+/// [`l1_coloring`] on a caller-owned [`Workspace`], with telemetry: records
+/// one [`Counter::PeelSteps`] per colored vertex and the palette probes of
+/// the sweep on `metrics`. Repeated solves on same-sized representations
+/// reuse every scratch buffer (zero heap allocation once warm; disconnected
+/// inputs still allocate their per-component sub-representations) and
+/// record [`Counter::WorkspaceReuses`]. Recycle the output via
 /// [`Workspace::recycle`] to keep the warm path allocation-free.
 pub fn l1_coloring_ws(
     rep: &IntervalRepresentation,
@@ -241,23 +230,14 @@ pub fn approx_delta1_coloring(
     t: u32,
     delta1: u32,
 ) -> IntervalApproxOutput {
-    approx_delta1_coloring_with(rep, t, delta1, &Metrics::disabled())
+    approx_delta1_coloring_ws(rep, t, delta1, &mut Workspace::new(), &Metrics::disabled())
 }
 
-/// [`approx_delta1_coloring`] with telemetry. The two optimal subruns that
-/// compute `λ*_{G,1}` and `λ*_{G,t}` are real work of the algorithm, so
-/// their peel steps and palette probes are recorded on `metrics` too.
-pub fn approx_delta1_coloring_with(
-    rep: &IntervalRepresentation,
-    t: u32,
-    delta1: u32,
-    metrics: &Metrics,
-) -> IntervalApproxOutput {
-    approx_delta1_coloring_ws(rep, t, delta1, &mut Workspace::new(), metrics)
-}
-
-/// [`approx_delta1_coloring_with`] on a caller-owned [`Workspace`] (see
-/// [`l1_coloring_ws`] for the reuse contract).
+/// [`approx_delta1_coloring`] on a caller-owned [`Workspace`] (see
+/// [`l1_coloring_ws`] for the reuse contract), with telemetry. The two
+/// optimal subruns that compute `λ*_{G,1}` and `λ*_{G,t}` are real work of
+/// the algorithm, so their peel steps and palette probes are recorded on
+/// `metrics` too.
 pub fn approx_delta1_coloring_ws(
     rep: &IntervalRepresentation,
     t: u32,

@@ -37,9 +37,7 @@ pub mod tree;
 pub mod unit_interval;
 pub mod workspace;
 
-pub use incremental::{
-    FallbackReason, IncrementalConfig, IncrementalOutcome, IncrementalSolver, UNCOLORED,
-};
+pub use incremental::{FallbackReason, IncrementalOutcome, IncrementalSolver, UNCOLORED};
 pub use solver::{InstanceKind, Problem, ProblemInstance, Solver, SolverRegistry};
 pub use spec::{
     all_violations, verify_labeling, Labeling, SeparationError, SeparationVector, Violation,

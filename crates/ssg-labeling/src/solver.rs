@@ -1,7 +1,7 @@
 //! The unified [`Solver`] trait and [`SolverRegistry`] dispatcher.
 //!
-//! PR-1 gave every algorithm a `*_with(&Metrics)` entry point; this module
-//! gives them a common *shape*. A [`Problem`] bundles an instance (bare
+//! Every algorithm has a `*_ws(..., &mut Workspace, &Metrics)` entry point;
+//! this module gives them a common *shape*. A [`Problem`] bundles an instance (bare
 //! graph, interval representation, unit-interval representation, or rooted
 //! tree) with the separation vector to enforce; a [`Solver`] consumes a
 //! problem plus a [`Workspace`] arena and produces a [`Labeling`]:

@@ -49,22 +49,14 @@ pub struct TreeL1Output {
 
 /// `Tree-L(1,...,1)-coloring` (Figure 5). Optimal for any tree.
 pub fn l1_coloring(tree: &RootedTree, t: u32) -> TreeL1Output {
-    l1_coloring_with(tree, t, &Metrics::disabled())
+    l1_coloring_ws(tree, t, &mut Workspace::new(), &Metrics::disabled())
 }
 
-/// [`l1_coloring`] with telemetry: records one
-/// [`Counter::PeelSteps`] per colored vertex and the palette probes of the
-/// sweep on `metrics`.
-pub fn l1_coloring_with(tree: &RootedTree, t: u32, metrics: &Metrics) -> TreeL1Output {
-    l1_coloring_ws(tree, t, &mut Workspace::new(), metrics)
-}
-
-/// [`l1_coloring_with`] on a caller-owned [`Workspace`]: repeated solves
-/// on same-sized trees reuse every scratch buffer (zero heap allocation
-/// once warm) and record
-/// [`Counter::WorkspaceReuses`](ssg_telemetry::Counter).
-/// Outputs and all other counters are bit-identical to
-/// [`l1_coloring_with`].
+/// [`l1_coloring`] on a caller-owned [`Workspace`], with telemetry:
+/// records one [`Counter::PeelSteps`] per colored vertex and the palette
+/// probes of the sweep on `metrics`. Repeated solves on same-sized trees
+/// reuse every scratch buffer (zero heap allocation once warm) and record
+/// [`Counter::WorkspaceReuses`].
 pub fn l1_coloring_ws(
     tree: &RootedTree,
     t: u32,
@@ -95,22 +87,11 @@ pub struct TreeApproxOutput {
 /// enriched to `{0, ..., λ* + 2(δ1-1)}` and each extraction required to be
 /// `δ1`-separated from the parent's color.
 pub fn approx_delta1_coloring(tree: &RootedTree, t: u32, delta1: u32) -> TreeApproxOutput {
-    approx_delta1_coloring_with(tree, t, delta1, &Metrics::disabled())
+    approx_delta1_coloring_ws(tree, t, delta1, &mut Workspace::new(), &Metrics::disabled())
 }
 
-/// [`approx_delta1_coloring`] with telemetry (same counters as
-/// [`l1_coloring_with`]).
-pub fn approx_delta1_coloring_with(
-    tree: &RootedTree,
-    t: u32,
-    delta1: u32,
-    metrics: &Metrics,
-) -> TreeApproxOutput {
-    approx_delta1_coloring_ws(tree, t, delta1, &mut Workspace::new(), metrics)
-}
-
-/// [`approx_delta1_coloring_with`] on a caller-owned [`Workspace`] (see
-/// [`l1_coloring_ws`] for the reuse contract).
+/// [`approx_delta1_coloring`] on a caller-owned [`Workspace`], with the
+/// same counters and reuse contract as [`l1_coloring_ws`].
 pub fn approx_delta1_coloring_ws(
     tree: &RootedTree,
     t: u32,
@@ -547,7 +528,7 @@ mod tests {
     fn warm_workspace_is_bit_identical_and_allocation_free() {
         let g = generators::kary_tree(60, 3);
         let tree = canonical(&g);
-        let baseline = l1_coloring_with(&tree, 3, &Metrics::disabled());
+        let baseline = l1_coloring_ws(&tree, 3, &mut Workspace::new(), &Metrics::disabled());
 
         let mut ws = Workspace::new();
         let cold_m = Metrics::enabled();

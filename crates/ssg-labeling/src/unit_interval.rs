@@ -72,28 +72,21 @@ pub fn l_delta1_delta2_coloring(
     delta1: u32,
     delta2: u32,
 ) -> UnitIntervalOutput {
-    l_delta1_delta2_coloring_with(rep, delta1, delta2, &Metrics::disabled())
+    l_delta1_delta2_coloring_ws(
+        rep,
+        delta1,
+        delta2,
+        &mut Workspace::new(),
+        &Metrics::disabled(),
+    )
 }
 
-/// [`l_delta1_delta2_coloring`] with telemetry: records one
-/// [`Counter::PeelSteps`] per colored vertex and counts the `λ*₁` subruns,
-/// scheme-verification comparisons, and path-DP work against the other
-/// counters.
-pub fn l_delta1_delta2_coloring_with(
-    rep: &UnitIntervalRepresentation,
-    delta1: u32,
-    delta2: u32,
-    metrics: &Metrics,
-) -> UnitIntervalOutput {
-    l_delta1_delta2_coloring_ws(rep, delta1, delta2, &mut Workspace::new(), metrics)
-}
-
-/// [`l_delta1_delta2_coloring_with`] on a caller-owned [`Workspace`]:
-/// color buffers and the `λ*₁` subruns draw from the arena, and solves
-/// after the first record one
-/// [`Counter::WorkspaceReuses`](ssg_telemetry::Counter).
-/// Outputs and all other counters are bit-identical to
-/// [`l_delta1_delta2_coloring_with`].
+/// [`l_delta1_delta2_coloring`] on a caller-owned [`Workspace`], with
+/// telemetry: records one [`Counter::PeelSteps`] per colored vertex and
+/// counts the `λ*₁` subruns, scheme-verification comparisons, and path-DP
+/// work against the other counters. Color buffers and the `λ*₁` subruns
+/// draw from the arena, and solves after the first record one
+/// [`Counter::WorkspaceReuses`].
 pub fn l_delta1_delta2_coloring_ws(
     rep: &UnitIntervalRepresentation,
     delta1: u32,

@@ -8,9 +8,9 @@
 //! `O(nt)` sweeps, so this module hoists all of them into a [`Workspace`]
 //! arena that solvers borrow from:
 //!
-//! * **One-shot callers** keep the existing entry points
-//!   (`l1_coloring(...)` etc.), which build a transient workspace — exactly
-//!   the PR-1 `*_with(&Metrics)` wrapper pattern.
+//! * **One-shot callers** keep the plain entry points
+//!   (`l1_coloring(...)` etc.), which call the `*_ws` form on a transient
+//!   workspace with telemetry disabled.
 //! * **Repeated callers** (the bench runner, the CLI, the netsim sweep)
 //!   hold a workspace across solves via the `*_ws(..., &mut Workspace,
 //!   &Metrics)` variants or [`crate::solver::Solver::solve_with`]. After

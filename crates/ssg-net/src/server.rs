@@ -180,7 +180,8 @@ impl Server {
     pub fn shutdown(mut self) -> EngineStats {
         self.shared.shutting_down.store(true, Ordering::Release);
         // Wake the acceptor out of its blocking accept() with a
-        // self-connect; it observes the flag and exits.
+        // self-connect; it observes the flag, serves every connection
+        // queued ahead of this one, and exits.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -206,10 +207,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, conns: Arc<Mutex<Vec<
         let (stream, peer) = match listener.accept() {
             Ok(pair) => pair,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // While draining, WouldBlock: every queued connection is served.
             Err(_) => break,
         };
         if shared.is_shutting_down() {
-            break;
+            // Shutdown's wake-up connect queues behind every connection the
+            // kernel had already accepted. Dropping one of those would reset
+            // its peer and lose the backlog it sent, so keep serving them —
+            // without blocking — until the queue is empty; the listener
+            // closes when this loop returns. The wake-up connection itself
+            // reads EOF at once.
+            if listener.set_nonblocking(true).is_err() || stream.set_nonblocking(false).is_err() {
+                break;
+            }
         }
         {
             // Reap finished connection threads so the registry (and the

@@ -206,9 +206,29 @@ fn metrics_endpoint_matches_the_cli_renderer() {
     let text = String::from_utf8_lossy(&raw);
     let (_, body) = text.split_once("\r\n\r\n").unwrap();
     // Rendered after the scrape, so the scrape's own counter bump is
-    // already visible in both.
+    // already visible in both. Only the uptime sample ticks between the
+    // two renders: it must parse in both and must not run backwards.
     let direct = ssg_net::prometheus_text(server.metrics());
-    assert_eq!(body, direct);
+    assert_eq!(body.lines().count(), direct.lines().count());
+    assert_eq!(body.ends_with('\n'), direct.ends_with('\n'));
+    let uptime = |line: &str| {
+        line.strip_prefix("ssg_uptime_seconds ")
+            .map(|v| v.parse::<f64>().expect("uptime sample parses"))
+    };
+    let mut uptime_samples = 0;
+    for (scraped, rendered) in body.lines().zip(direct.lines()) {
+        match (uptime(scraped), uptime(rendered)) {
+            (Some(s), Some(d)) => {
+                assert!(
+                    s <= d,
+                    "scraped uptime {s} is after the direct render's {d}"
+                );
+                uptime_samples += 1;
+            }
+            _ => assert_eq!(scraped, rendered),
+        }
+    }
+    assert_eq!(uptime_samples, 1);
     server.shutdown();
 }
 

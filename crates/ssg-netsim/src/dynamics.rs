@@ -250,8 +250,8 @@ pub fn simulate_corridor_with<R: Rng>(
         let solve_start = Instant::now();
         let net = CorridorNetwork::from_stations(fleet.iter().map(|&(_, s)| s).collect());
         let channels = match policy {
-            Policy::OptimalL1 => net.l1_channels_with(t, &mut ws, metrics),
-            Policy::Greedy => net.greedy_channels_with(&sep, &mut ws, metrics),
+            Policy::OptimalL1 => net.l1_channels_ws(t, &mut ws, metrics),
+            Policy::Greedy => net.greedy_channels_ws(&sep, &mut ws, metrics),
         };
         let solve_ns = u64::try_from(solve_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         epoch_hist.record(solve_ns);
@@ -310,40 +310,20 @@ pub(crate) fn mean(v: &[f64]) -> f64 {
 
 impl CorridorNetwork {
     /// Channels in **station order** (the order the network was built
-    /// from), for the optimal `L(1,...,1)` assignment.
-    pub fn l1_channels(&self, t: u32) -> Vec<u32> {
-        self.l1_channels_ws(t, &mut Workspace::new())
-    }
-
-    /// [`l1_channels`](Self::l1_channels) on a caller-held [`Workspace`],
-    /// for repeated solves (the dynamics epoch loop) on warm arenas.
-    pub fn l1_channels_ws(&self, t: u32, ws: &mut Workspace) -> Vec<u32> {
-        self.l1_channels_with(t, ws, &Metrics::disabled())
-    }
-
-    /// [`l1_channels_ws`](Self::l1_channels_ws) with a telemetry handle, so
-    /// the solver's phase spans land in the caller's trace.
-    pub fn l1_channels_with(&self, t: u32, ws: &mut Workspace, metrics: &Metrics) -> Vec<u32> {
+    /// from) for the optimal `L(1,...,1)` assignment, solved on a
+    /// caller-held [`Workspace`] (warm arenas across the dynamics epoch
+    /// loop) with the solver's phase spans landing in `metrics`' trace.
+    pub fn l1_channels_ws(&self, t: u32, ws: &mut Workspace, metrics: &Metrics) -> Vec<u32> {
         let out = l1_coloring_ws(self.representation(), t, ws, metrics);
         let channels = self.to_station_order(out.labeling.colors());
         ws.recycle(out.labeling);
         channels
     }
 
-    /// Channels in station order for the greedy baseline.
-    pub fn greedy_channels(&self, sep: &SeparationVector) -> Vec<u32> {
-        self.greedy_channels_ws(sep, &mut Workspace::new())
-    }
-
-    /// [`greedy_channels`](Self::greedy_channels) on a caller-held
-    /// [`Workspace`].
-    pub fn greedy_channels_ws(&self, sep: &SeparationVector, ws: &mut Workspace) -> Vec<u32> {
-        self.greedy_channels_with(sep, ws, &Metrics::disabled())
-    }
-
-    /// [`greedy_channels_ws`](Self::greedy_channels_ws) with a telemetry
-    /// handle, so the solver's phase spans land in the caller's trace.
-    pub fn greedy_channels_with(
+    /// Channels in station order for the greedy baseline, with the same
+    /// workspace and telemetry handling as
+    /// [`l1_channels_ws`](Self::l1_channels_ws).
+    pub fn greedy_channels_ws(
         &self,
         sep: &SeparationVector,
         ws: &mut Workspace,
@@ -395,7 +375,7 @@ mod tests {
     fn station_order_channels_are_consistent() {
         let mut rng = StdRng::seed_from_u64(130);
         let net = CorridorNetwork::generate(50, 1.0, 1.0, 4.0, &mut rng);
-        let ch = net.l1_channels(2);
+        let ch = net.l1_channels_ws(2, &mut Workspace::new(), &Metrics::disabled());
         assert_eq!(ch.len(), 50);
         // Station-order channels must verify on the graph after applying the
         // inverse permutation (i.e. they are the same multiset and legal).
@@ -435,11 +415,18 @@ mod tests {
         let nets: Vec<CorridorNetwork> = (0..3)
             .map(|_| CorridorNetwork::generate(30, 1.0, 1.0, 4.0, &mut rng))
             .collect();
+        let m = Metrics::disabled();
         let mut ws = Workspace::new();
         for net in &nets {
-            assert_eq!(net.l1_channels_ws(2, &mut ws), net.l1_channels(2));
+            assert_eq!(
+                net.l1_channels_ws(2, &mut ws, &m),
+                net.l1_channels_ws(2, &mut Workspace::new(), &m)
+            );
             let sep = SeparationVector::all_ones(2);
-            assert_eq!(net.greedy_channels_ws(&sep, &mut ws), net.greedy_channels(&sep));
+            assert_eq!(
+                net.greedy_channels_ws(&sep, &mut ws, &m),
+                net.greedy_channels_ws(&sep, &mut Workspace::new(), &m)
+            );
         }
         assert_eq!(ws.solve_count(), 6);
     }

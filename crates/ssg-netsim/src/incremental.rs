@@ -385,12 +385,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
     };
 
     let mut corridor = SlotCorridor::new(range_max);
-    // Every patch is certificate-gated, so a generous region cap is safe:
-    // past half the graph a fresh solve genuinely is cheaper, but below
-    // that the staged retries should get their chance.
-    let mut inc = IncrementalSolver::with_config(ssg_labeling::IncrementalConfig {
-        region_threshold: 0.5,
-    });
+    let mut inc = IncrementalSolver::new();
     let mut ws = Workspace::new();
     let mut delta_scratch = DeltaScratch::new();
     let mut bfs = BfsScratch::new();

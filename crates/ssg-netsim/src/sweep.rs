@@ -68,7 +68,7 @@ pub enum GridBackend {
     /// Cells are shipped to a sharded [`Engine`](ssg_engine::Engine) with
     /// `workers` worker threads (or to an externally supplied engine, see
     /// [`GridRunner::engine`]), sharing its queues, stealing, backpressure,
-    /// and per-worker warm workspace leases with batch labeling traffic.
+    /// and per-worker warm workspaces with batch labeling traffic.
     Engine {
         /// Worker threads of the internally built engine. Ignored when an
         /// external engine is attached.

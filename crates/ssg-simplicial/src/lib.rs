@@ -269,30 +269,25 @@ pub fn safe_t_simplicial_elimination_order(g: &Graph, t: u32) -> Option<Vec<Vert
 ///
 /// Returns `(colors, span)`. `O(n * ball_t)` time.
 pub fn peel_l1_coloring(g: &Graph, t: u32, insertion: &[Vertex]) -> (Vec<u32>, u32) {
-    peel_l1_coloring_with(g, t, insertion, &Metrics::disabled())
+    peel_l1_coloring_ws(
+        g,
+        t,
+        insertion,
+        &mut PeelScratch::new(),
+        &Metrics::disabled(),
+    )
 }
 
-/// [`peel_l1_coloring`] with telemetry: records one [`Counter::PeelSteps`]
-/// per inserted vertex, one [`Counter::BfsNodeVisits`] and one
-/// [`Counter::NeighborScans`] per vertex dequeued by the prefix-restricted
-/// BFS runs (each dequeue walks one contiguous CSR neighbor slice), and one
-/// [`Counter::PaletteProbes`] per slot examined by the minimum-excludant
-/// color scan.
-pub fn peel_l1_coloring_with(
-    g: &Graph,
-    t: u32,
-    insertion: &[Vertex],
-    metrics: &Metrics,
-) -> (Vec<u32>, u32) {
-    peel_l1_coloring_ws(g, t, insertion, &mut PeelScratch::new(), metrics)
-}
-
-/// [`peel_l1_coloring_with`] on a caller-owned [`PeelScratch`]: repeated
-/// solves on same-sized graphs reuse every buffer (zero heap allocation
-/// once warm) and record [`Counter::WorkspaceReuses`]. Outputs and the
-/// other counters are bit-identical to [`peel_l1_coloring_with`]. Hand
-/// the returned color buffer back via [`PeelScratch::recycle_colors`] to
-/// keep the warm path allocation-free.
+/// [`peel_l1_coloring`] on a caller-owned [`PeelScratch`], with telemetry:
+/// records one [`Counter::PeelSteps`] per inserted vertex, one
+/// [`Counter::BfsNodeVisits`] and one [`Counter::NeighborScans`] per vertex
+/// dequeued by the prefix-restricted BFS runs (each dequeue walks one
+/// contiguous CSR neighbor slice), and one [`Counter::PaletteProbes`] per
+/// slot examined by the minimum-excludant color scan. Repeated solves on
+/// same-sized graphs reuse every buffer (zero heap allocation once warm)
+/// and record [`Counter::WorkspaceReuses`]. Hand the returned color buffer
+/// back via [`PeelScratch::recycle_colors`] to keep the warm path
+/// allocation-free.
 pub fn peel_l1_coloring_ws(
     g: &Graph,
     t: u32,
@@ -561,7 +556,8 @@ mod tests {
         let g = generators::path(40);
         let order: Vec<Vertex> = (0..40).collect();
         let baseline_metrics = Metrics::enabled();
-        let baseline = peel_l1_coloring_with(&g, 2, &order, &baseline_metrics);
+        let baseline =
+            peel_l1_coloring_ws(&g, 2, &order, &mut PeelScratch::new(), &baseline_metrics);
         let baseline_snap = baseline_metrics.snapshot();
 
         let mut ws = PeelScratch::new();

@@ -22,6 +22,22 @@ cargo test -q --workspace --offline
 echo "==> cargo test --release -p ssg-engine"
 cargo test -q --release -p ssg-engine --offline
 
+echo "==> benchmark harness tests (builds against ../crates, must leave benchmark/ untouched)"
+# The harness is its own package with its own Cargo.lock: an API break in
+# the crates, or a dependency change that rewrites that lockfile, must
+# fail here rather than when the benchmark is next run.
+bench_state() {
+    git status --porcelain -- benchmark BENCHMARK.json
+    git diff -- benchmark BENCHMARK.json
+}
+BENCH_BEFORE=$(bench_state)
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+if [ "$(bench_state)" != "$BENCH_BEFORE" ]; then
+    echo "the harness tests changed benchmark/ or BENCHMARK.json:" >&2
+    git status --porcelain -- benchmark BENCHMARK.json >&2
+    exit 1
+fi
+
 echo "==> scripts/bench_diff.sh (span drift vs BENCH_labeling.json)"
 sh scripts/bench_diff.sh
 

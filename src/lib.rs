@@ -19,7 +19,7 @@
 //! * [`labeling`] — the paper's algorithms A1–A5 plus exact oracles and
 //!   baselines.
 //! * [`engine`] — the sharded batch labeling engine (bounded work-stealing
-//!   queues, workspace leases, panic isolation, deadlines).
+//!   queues, per-worker workspaces, panic isolation, deadlines).
 //! * [`error`] — the unified [`SsgError`](error::SsgError) every public
 //!   fallible entry point returns.
 //! * [`net`] — the TCP front door (`ssg serve`): the `ssg-proto/1` line

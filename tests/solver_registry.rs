@@ -1,6 +1,7 @@
 //! Property tests for the [`SolverRegistry`]: routing a solve through the
 //! registry must be **bit-identical** — same labeling, same telemetry
-//! counters — to calling the direct `*_with` entry point, on arbitrary
+//! counters — to calling the direct `*_ws` entry point on a fresh
+//! [`Workspace`], on arbitrary
 //! seeded workloads. This is the refactor-safety net for the Solver/
 //! Workspace layer: the registry's solvers share one arena, and nothing
 //! about that sharing may leak into outputs or counters.
@@ -86,12 +87,12 @@ proptest! {
         let rep = IntervalRepresentation::from_floats(&intervals).unwrap();
 
         let m = Metrics::enabled();
-        let direct = interval::l1_coloring_with(&rep, t, &m);
+        let direct = interval::l1_coloring_ws(&rep, t, &mut Workspace::new(), &m);
         let sep = SeparationVector::all_ones(t);
         check_against("interval_l1", &Problem::interval(&rep, &sep), &direct.labeling, &m);
 
         let m = Metrics::enabled();
-        let direct = interval::approx_delta1_coloring_with(&rep, t, d1, &m);
+        let direct = interval::approx_delta1_coloring_ws(&rep, t, d1, &mut Workspace::new(), &m);
         let sep = SeparationVector::delta1_then_ones(d1, t).unwrap();
         check_against(
             "interval_approx_delta1",
@@ -110,7 +111,7 @@ proptest! {
         let d1 = d2 + extra;
         let rep = UnitIntervalRepresentation::from_centers(&centers).unwrap();
         let m = Metrics::enabled();
-        let direct = unit_interval::l_delta1_delta2_coloring_with(&rep, d1, d2, &m);
+        let direct = unit_interval::l_delta1_delta2_coloring_ws(&rep, d1, d2, &mut Workspace::new(), &m);
         let sep = SeparationVector::two(d1, d2).unwrap();
         check_against(
             "unit_interval_l_delta1_delta2",
@@ -129,12 +130,12 @@ proptest! {
         let rooted = RootedTree::bfs_canonical(&g, 0).expect("Prüfer graph is a tree");
 
         let m = Metrics::enabled();
-        let direct = tree::l1_coloring_with(&rooted, t, &m);
+        let direct = tree::l1_coloring_ws(&rooted, t, &mut Workspace::new(), &m);
         let sep = SeparationVector::all_ones(t);
         check_against("tree_l1", &Problem::tree(&rooted, &sep), &direct.labeling, &m);
 
         let m = Metrics::enabled();
-        let direct = tree::approx_delta1_coloring_with(&rooted, t, d1, &m);
+        let direct = tree::approx_delta1_coloring_ws(&rooted, t, d1, &mut Workspace::new(), &m);
         let sep = SeparationVector::delta1_then_ones(d1, t).unwrap();
         check_against("tree_approx_delta1", &Problem::tree(&rooted, &sep), &direct.labeling, &m);
 
