@@ -18,10 +18,9 @@ use ssg_error::SsgError;
 use ssg_labeling::solver::{default_registry, InstanceKind, Problem};
 use ssg_labeling::{all_violations, SeparationVector, Workspace};
 use ssg_netsim::dynamics::simulate_corridor_with;
-use ssg_netsim::incremental::simulate_corridor_incremental_with;
 use ssg_netsim::{
-    BackboneNetwork, CorridorNetwork, DynamicsConfig, GridBackend, GridRunner, Policy,
-    VehicularNetwork,
+    simulate_corridor, BackboneNetwork, CorridorNetwork, DynamicsConfig, GridBackend, GridRunner,
+    Policy, VehicularNetwork,
 };
 use ssg_telemetry::json::Json;
 use ssg_telemetry::{Hist, Metrics};
@@ -219,8 +218,8 @@ fn auto_solve(
 
 /// Corridor dynamics at the cell's churn rate: [`CHURN_EPOCHS`] epochs,
 /// departure probability from the spec, span summed over epochs. The
-/// `incremental` policy races delta patching against the from-scratch
-/// optimum on the same seed and certifies per-epoch span equality.
+/// `incremental` policy is also run against the from-scratch optimum on
+/// the same seed, which certifies per-epoch span equality.
 fn run_churn(cell: &Cell, metrics: &Metrics) -> Result<Solved, SsgError> {
     let rate: f64 = cell
         .churn
@@ -232,39 +231,20 @@ fn run_churn(cell: &Cell, metrics: &Metrics) -> Result<Solved, SsgError> {
         .p_depart(rate)
         .t(2);
     let seed = cell.seed();
-    let span_sum = |spans: &[u32]| spans.iter().map(|&s| u64::from(s)).sum();
-    match cell.solver.as_str() {
-        "incremental" => {
-            let full = simulate_corridor_with(
-                cfg,
-                Policy::OptimalL1,
-                &mut StdRng::seed_from_u64(seed),
-                &Metrics::disabled(),
-            );
-            let inc = simulate_corridor_incremental_with(
-                cfg,
-                &mut StdRng::seed_from_u64(seed),
-                metrics,
-            );
-            Ok(Solved {
-                span: span_sum(&inc.epoch_spans),
-                spans_match: inc.epoch_spans == full.epoch_spans,
-            })
-        }
-        name => {
-            let policy = if name == "greedy" {
-                Policy::Greedy
-            } else {
-                Policy::OptimalL1
-            };
-            let rep =
-                simulate_corridor_with(cfg, policy, &mut StdRng::seed_from_u64(seed), metrics);
-            Ok(Solved {
-                span: span_sum(&rep.epoch_spans),
-                spans_match: true,
-            })
-        }
-    }
+    let policy = match cell.solver.as_str() {
+        "incremental" => Policy::Incremental,
+        "greedy" => Policy::Greedy,
+        _ => Policy::OptimalL1,
+    };
+    let rep = simulate_corridor_with(cfg, policy, &mut StdRng::seed_from_u64(seed), metrics);
+    let spans_match = policy != Policy::Incremental || {
+        let full = simulate_corridor(cfg, Policy::OptimalL1, &mut StdRng::seed_from_u64(seed));
+        rep.epoch_spans == full.epoch_spans
+    };
+    Ok(Solved {
+        span: rep.epoch_spans.iter().map(|&s| u64::from(s)).sum(),
+        spans_match,
+    })
 }
 
 #[cfg(test)]

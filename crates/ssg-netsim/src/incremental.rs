@@ -1,10 +1,11 @@
-//! Incremental dynamic channel assignment: the corridor epoch loop
-//! rebuilt around [`GraphDelta`] patching and region recoloring.
+//! The incremental recolor step of the corridor simulation
+//! ([`Policy::Incremental`]): [`GraphDelta`] patching and region
+//! recoloring instead of per-epoch rebuilds.
 //!
-//! [`simulate_corridor`](crate::dynamics::simulate_corridor) rebuilds the
-//! whole conflict graph and resolves from scratch every epoch — `O(n)`
-//! work no matter how small the churn. [`simulate_corridor_incremental`]
-//! keeps one persistent slot-indexed conflict graph and, per epoch:
+//! The from-scratch policies rebuild the whole conflict graph and resolve
+//! every epoch — `O(n)` work no matter how small the churn. This step keeps
+//! one persistent slot-indexed conflict graph across the epochs of
+//! [`simulate_corridor_with`] and, per epoch:
 //!
 //! 1. translates departures/arrivals into a [`GraphDelta`] (departed
 //!    stations become *tombstone* slots — their incident edges are removed
@@ -23,11 +24,13 @@
 //! (cell width `2·range_max`, the maximum conflict reach), so discovering
 //! an arrival's edges costs `O(local density)`, not `O(n)`.
 //!
-//! The RNG call sequence exactly mirrors the from-scratch simulation, so
-//! the two runs see identical fleets under the same seed — the tests pin
-//! per-epoch span equality on that.
+//! The epoch loop, and with it every RNG draw, is shared with the
+//! from-scratch policies, so under one seed the fleets are identical —
+//! the tests pin per-epoch span equality with [`Policy::OptimalL1`].
 
-use crate::dynamics::{mean, ChurnReport, DynamicsConfig};
+use crate::dynamics::{
+    simulate_corridor_with, ChurnReport, DynamicsConfig, EpochOutcome, Member, Policy, RecolorStep,
+};
 use crate::scenario::Station;
 use rand::Rng;
 use ssg_graph::traversal::UNREACHABLE;
@@ -35,10 +38,9 @@ use ssg_graph::{dirty_region_into, BfsScratch, DeltaScratch, Graph, GraphDelta, 
 use ssg_intervals::IntervalRepresentation;
 use ssg_labeling::interval::l1_coloring_ws;
 use ssg_labeling::{FallbackReason, IncrementalSolver, Labeling, Workspace, UNCOLORED};
-use ssg_telemetry::hist::Histogram;
-use ssg_telemetry::{Hist, Metrics};
+use ssg_telemetry::Metrics;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Persistent slot-indexed corridor state: the patched conflict graph,
 /// per-slot stations/colors, tombstone free list, and the position grid.
@@ -146,15 +148,13 @@ impl SlotCorridor {
     }
 }
 
-/// Rebuilds the clique witness with a prefix-ball sweep (Lemma 3) directly
-/// on the patched slot graph: the prefix ball of slot `v` is its
-/// distance-`<= t` ball filtered to slots at or before `v` in the interval
-/// ordering, decided by comparing cached left endpoints (ties by slot id) —
-/// no sorted order needs maintaining. `O(n · ball)` with no representation
-/// rebuild — much cheaper than the Figure-1 resolve it saves, which is what
-/// keeps the span lower bound alive across epochs whose churn kills the
-/// cached witness. Tombstone slots are isolated and skipped, so no walk
-/// ever reaches one and their stale cached endpoints are never read.
+/// Rebuilds the clique witness with a prefix-ball sweep (Lemma 3)
+/// directly on the patched slot graph: [`prefix_ball_best`] over every
+/// live slot, `O(n · ball)` with no representation rebuild — much cheaper
+/// than the Figure-1 resolve it saves, which is what keeps the span lower
+/// bound alive across epochs whose churn kills the cached witness.
+/// Tombstone slots are isolated and skipped, so no walk ever reaches one
+/// and their stale cached endpoints are never read.
 ///
 /// Also returns a stack of *backups*: equal-sized maximum cliques pairwise
 /// vertex-disjoint from the primary and each other, drawn from the sweep's
@@ -168,38 +168,8 @@ fn slot_clique_witness(
     dist: &mut Vec<u32>,
 ) -> (Vec<Vertex>, Vec<Vec<Vertex>>) {
     let n = graph.num_vertices();
-    dist.clear();
-    dist.resize(n, UNREACHABLE);
-    // Interval-order comparison on cached endpoints: `u` is in `v`'s prefix
-    // iff it starts no later (slot id breaks exact ties deterministically).
-    let before = |u: Vertex, v: Vertex| {
-        lefts[u as usize]
-            .total_cmp(&lefts[v as usize])
-            .then(u.cmp(&v))
-            .is_le()
-    };
-    let mut queue = VecDeque::new();
-    let mut ball: Vec<Vertex> = Vec::new();
-    let mut best: Vec<Vertex> = Vec::new();
-    // Sweep centers tying the running maximum — backup candidates.
-    let mut ties: Vec<Vertex> = Vec::new();
-    for v in 0..n as Vertex {
-        if stations[v as usize].is_none() {
-            continue;
-        }
-        ball_walk(graph, v, t, dist, &mut queue, &mut ball);
-        let prefix = ball.iter().filter(|&&u| before(u, v)).count();
-        if prefix > best.len() {
-            best.clear();
-            best.extend(ball.iter().copied().filter(|&u| before(u, v)));
-            ties.clear();
-        } else if prefix == best.len() && ties.len() < 64 {
-            ties.push(v);
-        }
-        for &u in &ball {
-            dist[u as usize] = UNREACHABLE;
-        }
-    }
+    let live = (0..n as Vertex).filter(|&v| stations[v as usize].is_some());
+    let (best, ties) = prefix_ball_best(graph, live, lefts, t, dist);
     // Backups: ties whose prefix balls are vertex-disjoint from the
     // primary (so the departure that kills the primary cannot take the
     // whole stack with it — overlap *between* backups is acceptable
@@ -209,13 +179,19 @@ fn slot_clique_witness(
     for &u in &best {
         in_primary[u as usize] = true;
     }
+    let mut queue = VecDeque::new();
+    let mut ball: Vec<Vertex> = Vec::new();
     let mut backups: Vec<Vec<Vertex>> = Vec::new();
     for &v in &ties {
         if backups.len() >= 8 {
             break;
         }
         ball_walk(graph, v, t, dist, &mut queue, &mut ball);
-        let prefix: Vec<Vertex> = ball.iter().copied().filter(|&u| before(u, v)).collect();
+        let prefix: Vec<Vertex> = ball
+            .iter()
+            .copied()
+            .filter(|&u| left_order(lefts, u, v).is_le())
+            .collect();
         for &u in &ball {
             dist[u as usize] = UNREACHABLE;
         }
@@ -225,7 +201,6 @@ fn slot_clique_witness(
             backups.push(b);
         }
     }
-    best.sort_unstable();
     (best, backups)
 }
 
@@ -260,44 +235,46 @@ fn ball_walk(
     }
 }
 
-/// Largest prefix ball whose closing vertex lies in `centers`. Arrivals
-/// can only grow the graph's maximum clique via cliques that touch the
-/// epoch's dirty region (every new edge is incident to a seed), so
-/// sweeping just the region's vertices after a patch keeps an inherited
-/// witness *exact* for `O(|region| · ball)` — the global resweep is then
-/// only ever paid when churn kills every cached clique.
+/// Largest prefix ball whose closing vertex lies in `centers`, sorted,
+/// plus up to 64 later centers whose prefix balls tie its size (backup
+/// candidates). The prefix ball of `v` is its distance-`<= t` ball
+/// filtered to slots at or before `v` in [`left_order`] — no sorted order
+/// needs maintaining. Arrivals can only grow the graph's maximum clique via
+/// cliques that touch the epoch's dirty region (every new edge is incident
+/// to a seed), so sweeping just the region's vertices after a patch keeps
+/// an inherited witness *exact* for `O(|region| · ball)` — the global
+/// resweep is then only ever paid when churn kills every cached clique.
 fn prefix_ball_best(
     graph: &Graph,
-    centers: &[Vertex],
+    centers: impl IntoIterator<Item = Vertex>,
     lefts: &[f64],
     t: u32,
     dist: &mut Vec<u32>,
-) -> Vec<Vertex> {
+) -> (Vec<Vertex>, Vec<Vertex>) {
     let n = graph.num_vertices();
     dist.clear();
     dist.resize(n, UNREACHABLE);
-    let before = |u: Vertex, v: Vertex| {
-        lefts[u as usize]
-            .total_cmp(&lefts[v as usize])
-            .then(u.cmp(&v))
-            .is_le()
-    };
     let mut queue = VecDeque::new();
     let mut ball: Vec<Vertex> = Vec::new();
     let mut best: Vec<Vertex> = Vec::new();
-    for &v in centers {
+    let mut ties: Vec<Vertex> = Vec::new();
+    for v in centers {
         ball_walk(graph, v, t, dist, &mut queue, &mut ball);
-        let prefix = ball.iter().filter(|&&u| before(u, v)).count();
+        let in_prefix = |&&u: &&Vertex| left_order(lefts, u, v).is_le();
+        let prefix = ball.iter().filter(in_prefix).count();
         if prefix > best.len() {
             best.clear();
-            best.extend(ball.iter().copied().filter(|&u| before(u, v)));
+            best.extend(ball.iter().filter(in_prefix));
+            ties.clear();
+        } else if prefix == best.len() && ties.len() < 64 {
+            ties.push(v);
         }
         for &u in &ball {
             dist[u as usize] = UNREACHABLE;
         }
     }
     best.sort_unstable();
-    best
+    (best, ties)
 }
 
 /// Bumps the live-color histogram, growing it to fit color `c`.
@@ -330,60 +307,37 @@ fn clique_intact(
     true
 }
 
-/// Sorts slot ids by cached left endpoint (ties by slot id) — the
-/// canonical interval ordering. The stable sort is adaptive, so
-/// re-sorting a nearly-sorted order costs roughly `O(n + moved · log n)`,
-/// not a full `n log n`.
-fn sort_by_left(slots: &mut [Vertex], lefts: &[f64]) {
-    slots.sort_by(|&a, &b| {
-        lefts[a as usize]
-            .total_cmp(&lefts[b as usize])
-            .then(a.cmp(&b))
-    });
+/// The canonical interval ordering of slots: cached left endpoint, ties
+/// by slot id. Sorting by it is adaptive (stable sort), so re-sorting a
+/// nearly-sorted order costs roughly `O(n + moved · log n)`, not a full
+/// `n log n`.
+fn left_order(lefts: &[f64], u: Vertex, v: Vertex) -> Ordering {
+    lefts[u as usize]
+        .total_cmp(&lefts[v as usize])
+        .then(u.cmp(&v))
 }
 
-/// [`simulate_corridor_incremental_with`] without telemetry.
-pub fn simulate_corridor_incremental<R: Rng>(cfg: DynamicsConfig, rng: &mut R) -> ChurnReport {
-    simulate_corridor_incremental_with(cfg, rng, &Metrics::disabled())
-}
-
-/// Runs the corridor dynamics with delta patching and region recoloring
-/// instead of per-epoch rebuilds. Spans are certified: every epoch's
-/// assignment has exactly the optimal `L(1,...,1)` span (accepted patches
-/// are pinned to a clique-witness lower bound; everything else re-runs the
-/// Figure-1 solver). Under the same seed the fleet evolution is identical
-/// to [`simulate_corridor`](crate::dynamics::simulate_corridor) with
-/// [`Policy::OptimalL1`](crate::dynamics::Policy::OptimalL1).
+/// [`simulate_corridor_with`] under [`Policy::Incremental`], by the name
+/// the repository benchmark's `churn` workload calls.
 pub fn simulate_corridor_incremental_with<R: Rng>(
     cfg: DynamicsConfig,
     rng: &mut R,
     metrics: &Metrics,
 ) -> ChurnReport {
-    let DynamicsConfig {
-        initial,
-        epochs,
-        p_depart,
-        arrivals_max,
-        corridor_len,
-        range_min,
-        range_max,
-        t,
-    } = cfg;
-    assert!((0.0..=1.0).contains(&p_depart));
-    assert!(corridor_len > 0.0 && range_min > 0.0 && range_max >= range_min);
-    let mut next_id: u64 = 0;
-    let mut new_station = |rng: &mut R| {
-        let id = next_id;
-        next_id += 1;
-        (
-            id,
-            Station {
-                position: rng.gen_range(0.0..corridor_len),
-                range: rng.gen_range(range_min..=range_max),
-            },
-        )
-    };
+    simulate_corridor_with(cfg, Policy::Incremental, rng, metrics)
+}
 
+/// Sets up [`Policy::Incremental`] on the epoch-0 `fleet` and returns its
+/// recolor step. Setup claims a slot per member (kept in its `tag`), wires
+/// the slot graph, colors it once with Figure 1 and sweeps the first clique
+/// witness. Each step then patches the epoch's departures and arrivals
+/// into the slot graph and recolors the dirty region; see the module docs.
+pub(crate) fn incremental_step<'m>(
+    fleet: &mut [Member],
+    t: u32,
+    range_max: f64,
+    metrics: &'m Metrics,
+) -> RecolorStep<'m> {
     let mut corridor = SlotCorridor::new(range_max);
     let mut inc = IncrementalSolver::new();
     let mut ws = Workspace::new();
@@ -409,17 +363,12 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
     // with every commit so the epoch span is its length, not an O(n) scan.
     let mut color_counts: Vec<u32> = Vec::new();
 
-    // The fleet mirrors the from-scratch simulation exactly (same Vec
-    // order, same RNG call sequence); `slot` tracks each entry's vertex.
-    let mut fleet: Vec<(u64, Station, Vertex)> = Vec::with_capacity(initial);
-    for _ in 0..initial {
-        let (id, s) = new_station(rng);
-        let v = corridor.claim_slot(s, &mut delta);
-        fleet.push((id, s, v));
+    for m in fleet.iter_mut() {
+        m.tag = corridor.claim_slot(m.station, &mut delta);
     }
     // Wire the initial fleet through the same delta path as later epochs.
-    for &(_, s, v) in &fleet {
-        corridor.overlaps_of(s, &mut overlap_buf);
+    for &Member { station, tag: v } in fleet.iter() {
+        corridor.overlaps_of(station, &mut overlap_buf);
         for &u in &overlap_buf {
             if u != v {
                 delta.add_edge(v, u);
@@ -431,9 +380,9 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         .apply_delta_with(&delta, &mut delta_scratch, metrics)
         .expect("initial delta is valid");
     delta.clear();
-    // Color the initial fleet once, outside the epoch loop: this is setup
-    // (the from-scratch simulation starts from an equally solved state
-    // conceptually — it recomputes everything anyway), so epoch 1 patches
+    // Color the initial fleet once, before the first epoch: this is setup
+    // (the from-scratch policies start from an equally solved state
+    // conceptually — they recompute everything anyway), so epoch 1 patches
     // a valid coloring instead of being forced into a full resolve by the
     // all-UNCOLORED start.
     if !fleet.is_empty() {
@@ -468,38 +417,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         ws.recycle(out.labeling);
     }
 
-    let mut spans = Vec::with_capacity(epochs);
-    let mut epoch_spans = Vec::with_capacity(epochs);
-    let mut epoch_recolored = Vec::with_capacity(epochs);
-    let mut epoch_frozen = Vec::with_capacity(epochs);
-    let mut churns = Vec::with_capacity(epochs);
-    let mut sizes = Vec::with_capacity(epochs);
-    let mut total_retunes = 0usize;
-    let mut full_resolves = 0usize;
-    let mut max_span = 0u32;
-    let epoch_hist = Histogram::new();
-    let mut epoch_solve_ns = Vec::with_capacity(epochs);
-
-    for _ in 0..epochs {
-        let _epoch_span = metrics.span("netsim.epoch.incremental");
-        // Departures and arrivals — identical RNG sequence to the
-        // from-scratch loop (retain, then arrival count, then stations).
-        let mut departed: Vec<Vertex> = Vec::new();
-        fleet.retain(|&(_, _, v)| {
-            let stays = !rng.gen_bool(p_depart);
-            if !stays {
-                departed.push(v);
-            }
-            stays
-        });
-        let arrivals = rng.gen_range(0..=arrivals_max);
-        let mut arrived: Vec<(u64, Station)> = (0..arrivals).map(|_| new_station(rng)).collect();
-        if fleet.is_empty() && arrived.is_empty() {
-            arrived.push(new_station(rng));
-        }
-        sizes.push((fleet.len() + arrived.len()) as f64);
-
-        let solve_start = Instant::now();
+    let step = move |fleet: &mut [Member], departed: &[Member], survivors: usize| {
         // Epoch delta: tombstone the departed, wire the arrived. Witness
         // liveness: a departing member kills the clique outright (checked
         // before its slot can be recycled by an arrival); removal churn
@@ -513,13 +431,14 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         // rather than an inherited clique that may have gone stale-low.
         let mut bound_exact = false;
         let mut swept_in_retry = false;
-        if !witness.is_empty() && departed.iter().any(|d| witness.binary_search(d).is_ok()) {
+        let departs = |c: &[Vertex]| departed.iter().any(|d| c.binary_search(&d.tag).is_ok());
+        if !witness.is_empty() && departs(&witness) {
             // Keep the corpse: its survivors seed the local repair sweep.
             std::mem::swap(&mut dead_witness, &mut witness);
             witness.clear();
         }
-        backups.retain(|b| !departed.iter().any(|d| b.binary_search(d).is_ok()));
-        for &v in &departed {
+        backups.retain(|b| !departs(b));
+        for &Member { tag: v, .. } in departed {
             // Histogram upkeep must read the color before the release
             // zeroes the slot.
             let c = corridor.colors[v as usize];
@@ -539,16 +458,16 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
             );
         }
         seeds.clear();
-        for (id, s) in arrived {
+        for m in &mut fleet[survivors..] {
             // Query the grid before inserting so earlier arrivals of this
             // epoch are seen too (the grid holds them already).
-            corridor.overlaps_of(s, &mut overlap_buf);
-            let v = corridor.claim_slot(s, &mut delta);
+            corridor.overlaps_of(m.station, &mut overlap_buf);
+            let v = corridor.claim_slot(m.station, &mut delta);
             for &u in &overlap_buf {
                 delta.add_edge(v, u);
             }
             seeds.push(v);
-            fleet.push((id, s, v));
+            m.tag = v;
         }
         corridor
             .graph
@@ -602,8 +521,13 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
             );
             if !retry_seeds.is_empty() {
                 dirty_region_into(&corridor.graph, &retry_seeds, t, &mut bfs, &mut dirty);
-                let cand =
-                    prefix_ball_best(&corridor.graph, &dirty, &corridor.lefts, t, &mut wit_dist);
+                let (cand, _) = prefix_ball_best(
+                    &corridor.graph,
+                    dirty.iter().copied(),
+                    &corridor.lefts,
+                    t,
+                    &mut wit_dist,
+                );
                 if cand.len() + 1 >= dead_witness.len() && !cand.is_empty() {
                     witness = cand;
                 }
@@ -674,7 +598,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         // gate the way slot-id order does.
         color_order.clear();
         color_order.extend_from_slice(&dirty);
-        sort_by_left(&mut color_order, &corridor.lefts);
+        color_order.sort_by(|&a, &b| left_order(&corridor.lefts, a, b));
         let bound = (!witness.is_empty()).then(|| witness.len() as u32 - 1);
         let SlotCorridor {
             ref graph,
@@ -703,7 +627,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
                 dirty_region_into(graph, &seeds, t, &mut bfs, &mut dirty);
                 color_order.clear();
                 color_order.extend_from_slice(&dirty);
-                sort_by_left(&mut color_order, lefts);
+                color_order.sort_by(|&a, &b| left_order(lefts, a, b));
                 inc.try_patch_ordered(
                     graph,
                     &sep,
@@ -772,7 +696,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
                 dirty_region_into(graph, &retry_seeds, radius, &mut bfs, &mut dirty);
                 color_order.clear();
                 color_order.extend_from_slice(&dirty);
-                sort_by_left(&mut color_order, lefts);
+                color_order.sort_by(|&a, &b| left_order(lefts, a, b));
                 inc.try_patch_ordered(
                     graph,
                     &sep,
@@ -790,7 +714,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
                     dirty_region_into(graph, &retry_seeds, 2 * t, &mut bfs, &mut dirty);
                     color_order.clear();
                     color_order.extend_from_slice(&dirty);
-                    sort_by_left(&mut color_order, lefts);
+                    color_order.sort_by(|&a, &b| left_order(lefts, a, b));
                     inc.try_patch_ordered(
                         graph,
                         &sep,
@@ -839,8 +763,8 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
                 metrics,
             ),
         };
-        if outcome.full_resolve() {
-            full_resolves += 1;
+        let full_resolve = outcome.full_resolve();
+        if full_resolve {
             // The gate tripped, so the cached witness under-estimated the
             // new optimum: resweep it so the next epochs can patch again
             // (unless the retry chain already swept this epoch's graph).
@@ -854,8 +778,8 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
                 );
             }
         }
-        epoch_recolored.push(outcome.recolored.min(corridor.live()));
-        epoch_frozen.push(outcome.frozen);
+        let recolored = outcome.recolored.min(corridor.live());
+        let frozen = outcome.frozen;
 
         // Commit colors; account span and churn against the live-color
         // histogram so patch epochs do O(|region|) bookkeeping instead of
@@ -864,8 +788,7 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         // Seed slots were parked at UNCOLORED when claimed, so that test
         // alone separates survivors from this epoch's arrivals.
         let mut retunes = 0usize;
-        let survivors = fleet.len() - seeds.len();
-        if outcome.full_resolve() {
+        if full_resolve {
             color_counts.clear();
             for (v, &c) in outcome.labeling.colors().iter().enumerate() {
                 if corridor.stations[v].is_none() {
@@ -899,35 +822,15 @@ pub fn simulate_corridor_incremental_with<R: Rng>(
         ws.recycle_colors(recycled);
         #[cfg(debug_assertions)]
         debug_check_committed_coloring(&corridor, t, span);
-        let solve_ns = u64::try_from(solve_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        epoch_hist.record(solve_ns);
-        epoch_solve_ns.push(solve_ns);
-        metrics.observe_ns(Hist::SolverSolve, solve_ns);
-        max_span = max_span.max(span);
-        spans.push(span as f64);
-        epoch_spans.push(span);
-        total_retunes += retunes;
-        churns.push(if survivors == 0 {
-            0.0
-        } else {
-            retunes as f64 / survivors as f64
-        });
-    }
-
-    ChurnReport {
-        epochs,
-        mean_span: mean(&spans),
-        max_span,
-        mean_churn: mean(&churns),
-        total_retunes,
-        mean_stations: mean(&sizes),
-        epoch_solve: epoch_hist.snapshot(),
-        epoch_solve_ns,
-        epoch_spans,
-        epoch_recolored,
-        epoch_frozen,
-        full_resolves,
-    }
+        EpochOutcome {
+            span,
+            retunes,
+            recolored,
+            frozen,
+            full_resolve,
+        }
+    };
+    Box::new(step)
 }
 
 /// Debug-build oracle: the incrementally patched slot graph must equal the
@@ -1014,7 +917,7 @@ mod tests {
     use crate::dynamics::{simulate_corridor, Policy};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ssg_telemetry::Counter;
+    use ssg_telemetry::{Counter, Hist};
 
     fn cfg(initial: usize, epochs: usize, p_depart: f64, arrivals_max: usize) -> DynamicsConfig {
         DynamicsConfig::default()
@@ -1030,7 +933,10 @@ mod tests {
 
     /// The heavyweight end-to-end guarantee: under the same seed, every
     /// epoch of the incremental run has exactly the span the from-scratch
-    /// optimal run produces.
+    /// optimal run produces, and Greedy sees the same fleets. Seed 141 of
+    /// each config is pinned exactly per policy — spans, station counts,
+    /// recolored counts, retunes and full resolves — so any drift in the
+    /// fleet draws or the churn accounting of the epoch loop shows here.
     #[test]
     fn per_epoch_spans_match_full_simulation() {
         // Dense corridor: big overlapping balls, regions rub against the
@@ -1047,18 +953,68 @@ mod tests {
             .range_min(1.0)
             .range_max(2.0)
             .t(2);
-        for (c, seeds) in [
-            (cfg(40, 25, 0.1, 6), [140u64, 141, 142]),
-            (sparse.epochs(25), [42u64, 141, 142]),
+        // Seed 141: (spans shared by every policy, stations per epoch,
+        // incremental recolored per epoch, retunes of [OptimalL1, Greedy,
+        // incremental], incremental full resolves).
+        let dense_141 = (
+            [
+                8, 8, 9, 7, 8, 7, 9, 9, 8, 8, 8, 8, 8, 9, 7, 9, 9, 8, 8, 8, 8, 8, 8, 8, 7,
+            ],
+            [
+                42, 42, 41, 42, 42, 38, 41, 42, 42, 41, 43, 41, 40, 42, 40, 39, 37, 36, 39, 38, 37,
+                36, 34, 32, 28,
+            ],
+            [
+                42, 3, 41, 42, 6, 38, 41, 3, 42, 21, 3, 1, 1, 4, 40, 15, 0, 9, 7, 38, 0, 3, 2, 0,
+                16,
+            ],
+            [423, 342, 249],
+            8,
+        );
+        let sparse_141 = (
+            [
+                4, 4, 4, 4, 4, 5, 5, 4, 4, 4, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 3, 3, 3,
+            ],
+            [
+                96, 94, 96, 96, 96, 95, 93, 92, 93, 91, 85, 83, 81, 79, 81, 80, 80, 75, 76, 77, 78,
+                75, 76, 76, 77,
+            ],
+            [
+                4, 1, 3, 4, 4, 17, 0, 11, 4, 2, 4, 1, 1, 0, 10, 1, 4, 0, 3, 13, 4, 0, 14, 2, 4,
+            ],
+            [91, 92, 33],
+            0,
+        );
+        for (c, seeds, pin) in [
+            (cfg(40, 25, 0.1, 6), [140u64, 141, 142], dense_141),
+            (sparse.epochs(25), [42u64, 141, 142], sparse_141),
         ] {
             for seed in seeds {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let full = simulate_corridor(c, Policy::OptimalL1, &mut rng);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let inc = simulate_corridor_incremental(c, &mut rng);
+                let greedy = simulate_corridor(c, Policy::Greedy, &mut rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let inc = simulate_corridor_incremental_with(c, &mut rng, &Metrics::disabled());
                 assert_eq!(inc.epoch_spans, full.epoch_spans, "seed {seed}");
                 assert_eq!(inc.mean_stations, full.mean_stations, "seed {seed}");
                 assert_eq!(inc.max_span, full.max_span, "seed {seed}");
+                assert_eq!(greedy.epoch_recolored, full.epoch_recolored, "seed {seed}");
+                if seed != 141 {
+                    continue;
+                }
+                let (spans, stations, recolored, retunes, inc_resolves) = pin;
+                for rep in [&full, &greedy, &inc] {
+                    assert_eq!(rep.epoch_spans, spans);
+                }
+                assert_eq!(full.epoch_recolored, stations);
+                assert_eq!(inc.epoch_recolored, recolored);
+                assert_eq!(
+                    [full.total_retunes, greedy.total_retunes, inc.total_retunes],
+                    retunes
+                );
+                assert_eq!([full.full_resolves, greedy.full_resolves], [25, 25]);
+                assert_eq!(inc.full_resolves, inc_resolves);
             }
         }
     }
@@ -1068,14 +1024,14 @@ mod tests {
     fn report_fields_are_coherent() {
         let c = cfg(30, 20, 0.15, 5);
         let mut rng = StdRng::seed_from_u64(143);
-        let rep = simulate_corridor_incremental(c, &mut rng);
+        let rep = simulate_corridor(c, Policy::Incremental, &mut rng);
         assert_eq!(rep.epochs, 20);
         assert!(rep.mean_span > 0.0);
         assert!((0.0..=1.0).contains(&rep.mean_churn));
         assert_eq!(rep.epoch_spans.len(), 20);
         assert_eq!(rep.epoch_recolored.len(), 20);
         assert_eq!(rep.epoch_frozen.len(), 20);
-        assert_eq!(rep.epoch_solve.count(), 20);
+        assert_eq!(rep.epoch_solve_ns.len(), 20);
         assert!(rep.full_resolves <= rep.epochs);
     }
 
@@ -1154,7 +1110,7 @@ mod tests {
             .range_max(2.0)
             .t(1);
         let mut rng = StdRng::seed_from_u64(146);
-        let rep = simulate_corridor_incremental(c, &mut rng);
+        let rep = simulate_corridor(c, Policy::Incremental, &mut rng);
         assert_eq!(rep.epochs, 8);
         assert_eq!(rep.total_retunes, 0, "no survivors => no retunes");
         assert!(rep.mean_stations >= 1.0);

@@ -20,6 +20,6 @@ pub mod scenario;
 pub mod sweep;
 
 pub use dynamics::{simulate_corridor, ChurnReport, DynamicsConfig, Policy};
-pub use incremental::{simulate_corridor_incremental, simulate_corridor_incremental_with};
+pub use incremental::simulate_corridor_incremental_with;
 pub use scenario::{AssignmentReport, BackboneNetwork, CorridorNetwork, Station, VehicularNetwork};
 pub use sweep::{to_markdown, write_csv, ExperimentRow, GridBackend, GridRunner, Summary};

@@ -123,4 +123,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+echo "==> non-test Rust lines (informational, no threshold)"
+sh scripts/loc.sh
+
 echo "==> OK"

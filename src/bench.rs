@@ -19,7 +19,8 @@ use ssg_graph::generators::random_bounded_degree_tree;
 use ssg_intervals::gen::{corridor_unit_intervals, random_connected_intervals};
 use ssg_labeling::solver::{default_registry, Problem};
 use ssg_labeling::{SeparationVector, Workspace};
-use ssg_netsim::{simulate_corridor, simulate_corridor_incremental_with, DynamicsConfig, Policy};
+use ssg_netsim::dynamics::simulate_corridor_with;
+use ssg_netsim::{simulate_corridor, DynamicsConfig, Policy};
 use ssg_telemetry::json::Json;
 use ssg_telemetry::report::{expect_one_of, ReportEnvelope};
 use ssg_telemetry::{Counter, Hist, HistSnapshot, Metrics, Phase, Snapshot};
@@ -836,7 +837,7 @@ fn incremental_dynamics(stations: usize, p_depart: f64) -> DynamicsConfig {
 }
 
 /// Churns one corridor twice from the same seed — from-scratch
-/// [`Policy::OptimalL1`] vs. the delta-patching incremental path — and
+/// [`Policy::OptimalL1`] vs. delta-patching [`Policy::Incremental`] — and
 /// compares per-epoch solve cost and (exactly) per-epoch spans. A second
 /// incremental run at 1% churn probes `DirtyVertices` scaling.
 ///
@@ -853,14 +854,16 @@ fn run_incremental_benchmark(cfg: &BenchConfig) -> IncrementalBench {
         &mut StdRng::seed_from_u64(seed),
     );
     let metrics_high = Metrics::enabled();
-    let inc = simulate_corridor_incremental_with(
+    let inc = simulate_corridor_with(
         incremental_dynamics(stations, INCREMENTAL_CHURN),
+        Policy::Incremental,
         &mut StdRng::seed_from_u64(seed),
         &metrics_high,
     );
     let metrics_low = Metrics::enabled();
-    let _ = simulate_corridor_incremental_with(
+    let _ = simulate_corridor_with(
         incremental_dynamics(stations, INCREMENTAL_LOW_CHURN),
+        Policy::Incremental,
         &mut StdRng::seed_from_u64(seed),
         &metrics_low,
     );

@@ -155,13 +155,15 @@ use strongly_simplicial::labeling::auto::Guarantee;
 use strongly_simplicial::labeling::solver::{default_registry, Problem};
 use strongly_simplicial::labeling::{all_violations, SeparationVector, Workspace};
 use strongly_simplicial::netsim::{
-    simulate_corridor, simulate_corridor_incremental, BackboneNetwork, ChurnReport,
-    CorridorNetwork, DynamicsConfig, Policy, VehicularNetwork,
+    simulate_corridor, BackboneNetwork, ChurnReport, CorridorNetwork, DynamicsConfig, Policy,
+    VehicularNetwork,
 };
 use strongly_simplicial::prelude::*;
 use strongly_simplicial::telemetry::json::Json;
 use strongly_simplicial::telemetry::report::ReportEnvelope;
-use strongly_simplicial::telemetry::{export, FlightRecorder, Metrics, Profile, TraceDump};
+use strongly_simplicial::telemetry::{
+    export, FlightRecorder, HistSnapshot, Histogram, Metrics, Profile, TraceDump,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -284,8 +286,22 @@ fn parse_separations(cmd: &str, spec: &str) -> Result<SeparationVector, SsgError
     Ok(SeparationVector::new(deltas)?)
 }
 
-fn parse_seed(arg: Option<&String>) -> u64 {
-    arg.and_then(|a| a.parse().ok()).unwrap_or(42)
+/// An optional positional argument: absent takes `default`, present must
+/// parse as `T`.
+fn parse_optional<T: std::str::FromStr>(
+    cmd: &str,
+    what: &str,
+    raw: Option<&String>,
+    default: T,
+) -> Result<T, SsgError> {
+    match raw {
+        None => Ok(default),
+        raw => parse_positional(cmd, what, raw),
+    }
+}
+
+fn parse_seed(cmd: &str, arg: Option<&String>) -> Result<u64, SsgError> {
+    parse_optional(cmd, "seed", arg, 42)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,20 +318,20 @@ fn cmd_gen(args: &[String]) -> Result<i32, SsgError> {
     }
     let g = match kind {
         "corridor" => {
-            let seed = parse_seed(args.get(2));
+            let seed = parse_seed("gen", args.get(2))?;
             let mut rng = StdRng::seed_from_u64(seed);
             CorridorNetwork::generate(n, 1.0, 1.0, 5.0, &mut rng)
                 .graph()
                 .clone()
         }
         "platoon" => {
-            let k: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(4);
-            let seed = parse_seed(args.get(3));
+            let k: usize = parse_optional("gen", "platoon k", args.get(2), 4)?;
+            let seed = parse_seed("gen", args.get(3))?;
             let mut rng = StdRng::seed_from_u64(seed);
             VehicularNetwork::platoon(n, k, &mut rng).graph().clone()
         }
         "backbone" => {
-            let seed = parse_seed(args.get(2));
+            let seed = parse_seed("gen", args.get(2))?;
             let mut rng = StdRng::seed_from_u64(seed);
             BackboneNetwork::generate(n, 4, &mut rng).graph().clone()
         }
@@ -809,6 +825,15 @@ fn cmd_batch(args: &[String]) -> Result<i32, SsgError> {
 // churn / bench
 // ---------------------------------------------------------------------------
 
+/// The per-epoch solve times of `rep`, bucketed for quantiles.
+fn epoch_solve_hist(rep: &ChurnReport) -> HistSnapshot {
+    let hist = Histogram::new();
+    for &ns in &rep.epoch_solve_ns {
+        hist.record(ns);
+    }
+    hist.snapshot()
+}
+
 /// One policy's run rendered as an `ssg-churn/v1` object: aggregates,
 /// per-epoch spans and recolored/frozen counts, and the epoch-solve
 /// quantile summary.
@@ -848,7 +873,7 @@ fn churn_policy_json(name: &str, rep: &ChurnReport) -> Json {
                     .collect(),
             ),
         ),
-        ("epoch_solve".into(), rep.epoch_solve.summary_json()),
+        ("epoch_solve".into(), epoch_solve_hist(rep).summary_json()),
     ])
 }
 
@@ -881,11 +906,8 @@ fn cmd_churn(args: &[String]) -> Result<i32, SsgError> {
             _ => positional.push(arg),
         }
     }
-    let epochs: usize = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(50);
-    let seed = parse_seed(positional.get(1).copied());
+    let epochs: usize = parse_optional("churn", "epoch count", positional.first().copied(), 50)?;
+    let seed = parse_seed("churn", positional.get(1).copied())?;
     // The from-scratch demo uses a dense corridor (big spans, heavy
     // retuning); the incremental demo spreads the same fleet over a long
     // sparse corridor so distance-2 dirty regions stay small enough for
@@ -912,21 +934,18 @@ fn cmd_churn(args: &[String]) -> Result<i32, SsgError> {
             .t(2)
     };
 
-    let mut runs: Vec<(&str, ChurnReport)> = Vec::new();
-    if incremental {
-        let full = simulate_corridor(cfg, Policy::OptimalL1, &mut StdRng::seed_from_u64(seed));
-        let inc = simulate_corridor_incremental(cfg, &mut StdRng::seed_from_u64(seed));
-        runs.push(("optimal_l1", full));
-        runs.push(("incremental", inc));
+    let second = if incremental {
+        ("incremental", Policy::Incremental)
     } else {
-        for (name, policy) in [
-            ("optimal_l1", Policy::OptimalL1),
-            ("greedy", Policy::Greedy),
-        ] {
+        ("greedy", Policy::Greedy)
+    };
+    let runs: Vec<(&str, ChurnReport)> = [("optimal_l1", Policy::OptimalL1), second]
+        .into_iter()
+        .map(|(name, policy)| {
             let mut rng = StdRng::seed_from_u64(seed);
-            runs.push((name, simulate_corridor(cfg, policy, &mut rng)));
-        }
-    }
+            (name, simulate_corridor(cfg, policy, &mut rng))
+        })
+        .collect();
     let spans_match = !incremental || runs[0].1.epoch_spans == runs[1].1.epoch_spans;
 
     if format == OutputFormat::Json {
@@ -952,12 +971,13 @@ fn cmd_churn(args: &[String]) -> Result<i32, SsgError> {
                 rep.mean_churn * 100.0,
                 rep.total_retunes
             );
+            let solve = epoch_solve_hist(rep);
             println!(
                 "  epoch solve: p50={:.1}us p90={:.1}us p99={:.1}us max={:.1}us",
-                rep.epoch_solve.p50() as f64 / 1e3,
-                rep.epoch_solve.p90() as f64 / 1e3,
-                rep.epoch_solve.p99() as f64 / 1e3,
-                rep.epoch_solve.max() as f64 / 1e3,
+                solve.p50() as f64 / 1e3,
+                solve.p90() as f64 / 1e3,
+                solve.p99() as f64 / 1e3,
+                solve.max() as f64 / 1e3,
             );
             if incremental {
                 println!(

@@ -94,6 +94,17 @@ fn usage_errors_exit_nonzero() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A malformed optional positional is a usage error, never a silent
+    // fallback to its default.
+    for args in [
+        &["churn", "abc"][..],
+        &["churn", "5", "O7"],
+        &["gen", "corridor", "10", "x"],
+        &["gen", "platoon", "10", "four", "42"],
+    ] {
+        let out = ssg().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]
