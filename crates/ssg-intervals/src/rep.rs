@@ -104,83 +104,38 @@ impl IntervalRepresentation {
             }
         }
         let n = intervals.len();
-        // (value, kind, input index): kind 0 = left sorts before kind 1 = right.
-        let mut points: Vec<(f64, u8, usize)> = Vec::with_capacity(2 * n);
+        // One key per endpoint, `order_key(value) << 64 | kind | index`,
+        // with the kind bit set on right endpoints: the keys are distinct and
+        // ordered as (value, left before right, input index), so one
+        // unstable sort ranks every endpoint.
+        const RIGHT: u128 = 1 << 63;
+        let mut keys: Vec<u128> = Vec::with_capacity(2 * n);
         for (i, &(l, r)) in intervals.iter().enumerate() {
-            points.push((l, 0, i));
-            points.push((r, 1, i));
+            keys.push(u128::from(order_key(l)) << 64 | i as u128);
+            keys.push(u128::from(order_key(r)) << 64 | RIGHT | i as u128);
         }
-        points.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite floats compare")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-        let mut left_rank = vec![0u32; n];
-        let mut right_rank = vec![0u32; n];
-        for (rank0, &(_, kind, i)) in points.iter().enumerate() {
-            let rank = rank0 as u32 + 1;
-            if kind == 0 {
-                left_rank[i] = rank;
-            } else {
-                right_rank[i] = rank;
-            }
-        }
-        Self::from_ranks_with_order(left_rank, right_rank)
-    }
-
-    /// Builds a representation from already-distinct integer endpoints. The
-    /// values need not be `1..=2n`; they are rank-normalized. Panics if any
-    /// two endpoints collide (use [`IntervalRepresentation::from_floats`] for
-    /// tie-broken input) or if some `left >= right`.
-    pub fn from_integer_endpoints(intervals: &[(u64, u64)]) -> Result<Self, IntervalError> {
-        let n = intervals.len();
-        let mut points: Vec<(u64, usize, u8)> = Vec::with_capacity(2 * n);
-        for (i, &(l, r)) in intervals.iter().enumerate() {
-            if l >= r {
-                return Err(IntervalError::Degenerate { index: i });
-            }
-            points.push((l, i, 0));
-            points.push((r, i, 1));
-        }
-        points.sort_unstable();
-        for w in points.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "integer endpoints must be distinct");
-        }
-        let mut left_rank = vec![0u32; n];
-        let mut right_rank = vec![0u32; n];
-        for (rank0, &(_, i, kind)) in points.iter().enumerate() {
-            let rank = rank0 as u32 + 1;
-            if kind == 0 {
-                left_rank[i] = rank;
-            } else {
-                right_rank[i] = rank;
-            }
-        }
-        Self::from_ranks_with_order(left_rank, right_rank)
-    }
-
-    /// Internal: takes per-input-interval ranks, renumbers vertices by
-    /// increasing left endpoint and builds the event list.
-    fn from_ranks_with_order(
-        left_rank: Vec<u32>,
-        right_rank: Vec<u32>,
-    ) -> Result<Self, IntervalError> {
-        let n = left_rank.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| left_rank[i]);
+        keys.sort_unstable();
+        // Left endpoints arrive in rank order, so numbering each vertex as
+        // its left endpoint appears is the left-endpoint order.
         let mut left = Vec::with_capacity(n);
-        let mut right = Vec::with_capacity(n);
+        let mut right = vec![0u32; n];
         let mut original = Vec::with_capacity(n);
-        for &i in &order {
-            left.push(left_rank[i]);
-            right.push(right_rank[i]);
-            original.push(i);
-        }
-        let mut events = vec![Endpoint::Left(0); 2 * n];
-        for v in 0..n {
-            events[left[v] as usize - 1] = Endpoint::Left(v as Vertex);
-            events[right[v] as usize - 1] = Endpoint::Right(v as Vertex);
+        let mut vertex_of = vec![0 as Vertex; n];
+        let mut events = Vec::with_capacity(2 * n);
+        for (rank0, &key) in keys.iter().enumerate() {
+            let rank = rank0 as u32 + 1;
+            let i = (key & (RIGHT - 1)) as usize;
+            if key & RIGHT == 0 {
+                let v = left.len() as Vertex;
+                vertex_of[i] = v;
+                left.push(rank);
+                original.push(i);
+                events.push(Endpoint::Left(v));
+            } else {
+                let v = vertex_of[i];
+                right[v as usize] = rank;
+                events.push(Endpoint::Right(v));
+            }
         }
         Ok(IntervalRepresentation {
             left,
@@ -321,38 +276,68 @@ impl IntervalRepresentation {
     /// Splits the representation into connected components, each a fresh
     /// normalized representation plus the list of this representation's
     /// vertices it covers (in the component's vertex order).
+    ///
+    /// Vertices are numbered by left endpoint, so a component that opens at
+    /// event index `s` covers a contiguous vertex range `v0..v0 + m` and
+    /// exactly the ranks `s + 1..=s + 2m`: each part is a shifted copy of a
+    /// slice of this representation. `O(n)`.
     pub fn components(&self) -> Vec<(IntervalRepresentation, Vec<Vertex>)> {
         let mut out = Vec::new();
-        let mut current: Vec<Vertex> = Vec::new();
+        let mut start = 0usize;
         let mut open = 0usize;
-        for &ev in &self.events {
+        for (idx, &ev) in self.events.iter().enumerate() {
             match ev {
-                Endpoint::Left(v) => {
-                    if open == 0 && !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
+                Endpoint::Left(_) => open += 1,
+                Endpoint::Right(_) => {
+                    open -= 1;
+                    if open == 0 {
+                        out.push(self.component(start, idx + 1));
+                        start = idx + 1;
                     }
-                    current.push(v);
-                    open += 1;
                 }
-                Endpoint::Right(_) => open -= 1,
             }
         }
-        if !current.is_empty() {
-            out.push(current);
-        }
-        out.into_iter()
-            .map(|verts| {
-                let sub: Vec<(u64, u64)> = verts
-                    .iter()
-                    .map(|&v| (self.left(v) as u64, self.right(v) as u64))
-                    .collect();
-                let rep = IntervalRepresentation::from_integer_endpoints(&sub)
-                    .expect("component endpoints stay valid");
-                // Components are emitted with vertices already in left-endpoint
-                // order, so rep's vertex i corresponds to verts[i].
-                (rep, verts)
-            })
-            .collect()
+        out
+    }
+
+    /// The component spanning `events[start..end]` (no interval open at
+    /// either cut), renumbered from rank 1 and vertex 0.
+    fn component(&self, start: usize, end: usize) -> (IntervalRepresentation, Vec<Vertex>) {
+        let Endpoint::Left(v0) = self.events[start] else {
+            unreachable!("a component opens with a left endpoint");
+        };
+        let m = (end - start) / 2;
+        let shift = |ranks: &[u32]| -> Vec<u32> {
+            ranks[v0 as usize..v0 as usize + m]
+                .iter()
+                .map(|&r| r - start as u32)
+                .collect()
+        };
+        let rep = IntervalRepresentation {
+            left: shift(&self.left),
+            right: shift(&self.right),
+            events: self.events[start..end]
+                .iter()
+                .map(|&ev| match ev {
+                    Endpoint::Left(v) => Endpoint::Left(v - v0),
+                    Endpoint::Right(v) => Endpoint::Right(v - v0),
+                })
+                .collect(),
+            original: (0..m).collect(),
+        };
+        (rep, (v0..v0 + m as Vertex).collect())
+    }
+}
+
+/// Order-preserving bit pattern of a finite float: `a < b` iff
+/// `order_key(a) < order_key(b)`, and the keys are equal exactly where the
+/// values compare equal (adding `0.0` folds `-0.0` into `+0.0`).
+fn order_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -392,10 +377,6 @@ mod tests {
         assert!(matches!(
             IntervalRepresentation::from_floats(&[(0.0, 2.0), (f64::NAN, 1.0)]),
             Err(IntervalError::NotFinite { index: 1 })
-        ));
-        assert!(matches!(
-            IntervalRepresentation::from_integer_endpoints(&[(3, 2)]),
-            Err(IntervalError::Degenerate { index: 0 })
         ));
     }
 

@@ -126,8 +126,7 @@ impl UnitIntervalRepresentation {
     /// no triangle). The paper's §3.3 algorithm requires "not a path"; paths
     /// are routed to the exact DP instead.
     pub fn is_path(&self) -> bool {
-        let n = self.len();
-        if n <= 2 {
+        if self.len() <= 1 {
             return true;
         }
         if self.max_clique() > 2 {
@@ -202,6 +201,11 @@ mod tests {
         assert!(!disconnected.is_path());
         let tiny = UnitIntervalRepresentation::from_centers(&[0.0, 0.5]).unwrap();
         assert!(tiny.is_path());
+        let apart = UnitIntervalRepresentation::from_centers(&[0.0, 5.0]).unwrap();
+        assert!(!apart.is_connected());
+        assert!(!apart.is_path(), "two disjoint intervals are not P_2");
+        let single = UnitIntervalRepresentation::from_centers(&[1.0]).unwrap();
+        assert!(single.is_path());
     }
 
     #[test]

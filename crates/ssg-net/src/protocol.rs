@@ -77,6 +77,24 @@ impl Workload {
             _ => None,
         }
     }
+
+    /// Generates the instance that `(self, n, seed)` names: the one table
+    /// of generator parameters behind `LABEL` requests and `ssg batch`
+    /// lines. Interval workloads never build their conflict graph.
+    pub fn instance(self, n: usize, seed: u64) -> RequestInstance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match self {
+            Workload::Corridor => RequestInstance::Interval(
+                CorridorNetwork::generate(n, 1.0, 1.0, 5.0, &mut rng).into_representation(),
+            ),
+            Workload::Platoon => RequestInstance::UnitInterval(
+                VehicularNetwork::platoon(n, 4, &mut rng).into_representation(),
+            ),
+            Workload::Backbone => {
+                RequestInstance::Tree(BackboneNetwork::generate(n, 4, &mut rng).into_tree())
+            }
+        }
+    }
 }
 
 /// The payload of a `LABEL` request: which instance to generate and how to
@@ -111,24 +129,7 @@ impl LabelSpec {
     /// *not* applied here (the server clocks it from receipt — see
     /// `Server`).
     pub fn to_request(&self, id: u64) -> LabelRequest {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let instance = match self.workload {
-            Workload::Corridor => RequestInstance::Interval(
-                CorridorNetwork::generate(self.n, 1.0, 1.0, 5.0, &mut rng)
-                    .representation()
-                    .clone(),
-            ),
-            Workload::Platoon => RequestInstance::UnitInterval(
-                VehicularNetwork::platoon(self.n, 4, &mut rng)
-                    .representation()
-                    .clone(),
-            ),
-            Workload::Backbone => RequestInstance::Tree(
-                BackboneNetwork::generate(self.n, 4, &mut rng)
-                    .tree()
-                    .clone(),
-            ),
-        };
+        let instance = self.workload.instance(self.n, self.seed);
         let mut req = LabelRequest::new(id, instance, self.sep.clone());
         if let Some(name) = &self.solver {
             req = req.solver(name.clone());

@@ -1,0 +1,94 @@
+//! Pins the instances a `LABEL` request is served on. Each
+//! `(workload, n, seed)` triple names one instance; its FNV-1a-64 digest
+//! covers every RNG draw of the generator and every step of the
+//! normalization, so a change to either shows up here even when the
+//! labelings happen to stay valid.
+
+use ssg_engine::RequestInstance;
+use ssg_labeling::SeparationVector;
+use ssg_net::protocol::{LabelSpec, Workload};
+
+/// Digests recorded for `(workload, n, seed)`, in the loop order of
+/// [`served_instances_match_recorded_digests`]. A platoon's normalized
+/// representation depends only on `n` (every vehicle hears exactly its
+/// four predecessors), so its digests do not vary with the seed.
+#[rustfmt::skip]
+const DIGESTS: [u64; 27] = [
+    // corridor: n = 1, 64, 4000 × seeds
+    0xf926c22b68fc6926, 0xf926c22b68fc6926, 0xf926c22b68fc6926,
+    0xb4f19601052eb5a5, 0x295e9fb5cc6e0c85, 0x73419373cc3ad125,
+    0xa5e70212e0e9b638, 0x471ae0a760b4ee04, 0xaf260ad299191534,
+    // platoon: n = 1, 64, 4000 × seeds
+    0xf926c22b68fc6926, 0xf926c22b68fc6926, 0xf926c22b68fc6926,
+    0xa5323893e0656ae5, 0xa5323893e0656ae5, 0xa5323893e0656ae5,
+    0x0f9d97a87a6e66e4, 0x0f9d97a87a6e66e4, 0x0f9d97a87a6e66e4,
+    // backbone: n = 1, 64, 4000 × seeds
+    0x780d5836696931dd, 0x780d5836696931dd, 0x780d5836696931dd,
+    0x963f62d920d164a8, 0xa1c7a2169ecc03db, 0xe8ab9e10111aacb1,
+    0x947835584071a585, 0x81630089d3556f85, 0xea13dec44e4734d0,
+];
+
+const NS: [usize; 3] = [1, 64, 4000];
+const SEEDS: [u64; 3] = [0, 7, 20_261_017];
+
+/// FNV-1a-64 over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Interval instances hash `left`, `right` and `original_index` per
+/// vertex; trees hash `parent` (`u64::MAX` at the root) and `original_id`.
+fn digest(instance: &RequestInstance) -> u64 {
+    let rep = match instance {
+        RequestInstance::Interval(rep) => rep,
+        RequestInstance::UnitInterval(unit) => unit.as_interval(),
+        RequestInstance::Tree(tree) => {
+            return fnv1a((0..tree.len() as u32).flat_map(|v| {
+                [
+                    tree.parent(v).map_or(u64::MAX, u64::from),
+                    u64::from(tree.original_id(v)),
+                ]
+            }));
+        }
+        RequestInstance::Graph(_) => panic!("no workload serves a bare graph"),
+    };
+    fnv1a((0..rep.len() as u32).flat_map(|v| {
+        [
+            u64::from(rep.left(v)),
+            u64::from(rep.right(v)),
+            rep.original_index(v) as u64,
+        ]
+    }))
+}
+
+#[test]
+fn served_instances_match_recorded_digests() {
+    let mut got = Vec::new();
+    for workload in [Workload::Corridor, Workload::Platoon, Workload::Backbone] {
+        for n in NS {
+            for seed in SEEDS {
+                let spec = LabelSpec {
+                    workload,
+                    n,
+                    seed,
+                    sep: SeparationVector::all_ones(2),
+                    solver: None,
+                    deadline_ms: None,
+                    trace: None,
+                };
+                let instance = spec.to_request(0).instance;
+                assert_eq!(instance.num_vertices(), n, "{workload:?} n={n} seed={seed}");
+                got.push(digest(&instance));
+            }
+        }
+    }
+    let rendered: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
+    assert_eq!(got, DIGESTS, "digests now: [{}]", rendered.join(", "));
+}

@@ -24,6 +24,7 @@ use ssg_labeling::tree::{self, to_original_ids};
 use ssg_labeling::unit_interval::l_delta1_delta2_coloring;
 use ssg_labeling::{verify_labeling, Labeling, SeparationVector};
 use ssg_tree::RootedTree;
+use std::sync::OnceLock;
 
 /// Tiny inline exponential sampler (keeps `rand` the only RNG dependency).
 mod rand_distr_exp {
@@ -107,11 +108,13 @@ impl AssignmentReport {
 }
 
 /// Corridor of stations with heterogeneous ranges (interval conflict graph).
+/// The conflict graph is built from the representation on the first
+/// [`CorridorNetwork::graph`] call.
 #[derive(Debug, Clone)]
 pub struct CorridorNetwork {
     stations: Vec<Station>,
     rep: IntervalRepresentation,
-    graph: Graph,
+    graph: OnceLock<Graph>,
 }
 
 impl CorridorNetwork {
@@ -146,11 +149,10 @@ impl CorridorNetwork {
             .collect();
         let rep = IntervalRepresentation::from_floats(&intervals)
             .expect("positive ranges yield valid intervals");
-        let graph = rep.to_graph();
         CorridorNetwork {
             stations,
             rep,
-            graph,
+            graph: OnceLock::new(),
         }
     }
 
@@ -164,9 +166,14 @@ impl CorridorNetwork {
         &self.rep
     }
 
-    /// The conflict graph.
+    /// Moves the interval representation out, dropping the stations.
+    pub fn into_representation(self) -> IntervalRepresentation {
+        self.rep
+    }
+
+    /// The conflict graph, built on the first call.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.graph.get_or_init(|| self.rep.to_graph())
     }
 
     /// Optimal `L(1,...,1)` assignment (paper Figure 1).
@@ -175,7 +182,7 @@ impl CorridorNetwork {
         let sep = SeparationVector::all_ones(t);
         AssignmentReport::build(
             "interval-l1",
-            &self.graph,
+            self.graph(),
             &sep,
             &out.labeling,
             out.lambda_star,
@@ -189,7 +196,7 @@ impl CorridorNetwork {
         let lower = (delta1 * out.lambda_1).max(out.lambda_t);
         AssignmentReport::build(
             "interval-approx-d1",
-            &self.graph,
+            self.graph(),
             &sep,
             &out.labeling,
             lower,
@@ -198,17 +205,19 @@ impl CorridorNetwork {
 
     /// Greedy BFS-order baseline for the same separation vector.
     pub fn assign_greedy(&self, sep: &SeparationVector) -> AssignmentReport {
-        let lab = greedy_bfs_order(&self.graph, sep);
+        let lab = greedy_bfs_order(self.graph(), sep);
         let lower = l1_coloring(&self.rep, sep.t()).lambda_star;
-        AssignmentReport::build("greedy-bfs", &self.graph, sep, &lab, lower)
+        AssignmentReport::build("greedy-bfs", self.graph(), sep, &lab, lower)
     }
 }
 
-/// Vehicles with equal radio power (unit interval conflict graph).
+/// Vehicles with equal radio power (unit interval conflict graph). The
+/// conflict graph is built from the representation on the first
+/// [`VehicularNetwork::graph`] call.
 #[derive(Debug, Clone)]
 pub struct VehicularNetwork {
     rep: UnitIntervalRepresentation,
-    graph: Graph,
+    graph: OnceLock<Graph>,
 }
 
 impl VehicularNetwork {
@@ -216,16 +225,20 @@ impl VehicularNetwork {
     /// hearing-range units, `max_gap < 1` keeping the platoon connected.
     pub fn generate<R: Rng>(n: usize, max_gap: f64, rng: &mut R) -> Self {
         let rep = ssg_intervals::gen::random_connected_unit_intervals(n, max_gap, rng);
-        let graph = rep.to_graph();
-        VehicularNetwork { rep, graph }
+        VehicularNetwork {
+            rep,
+            graph: OnceLock::new(),
+        }
     }
 
     /// A dense platoon where every vehicle conflicts with its `k` closest
     /// predecessors (clique number exactly `k + 1`).
     pub fn platoon<R: Rng>(n: usize, k: usize, rng: &mut R) -> Self {
         let rep = ssg_intervals::gen::corridor_unit_intervals(n, k, rng);
-        let graph = rep.to_graph();
-        VehicularNetwork { rep, graph }
+        VehicularNetwork {
+            rep,
+            graph: OnceLock::new(),
+        }
     }
 
     /// The unit interval representation.
@@ -233,9 +246,14 @@ impl VehicularNetwork {
         &self.rep
     }
 
-    /// The conflict graph.
+    /// Moves the unit interval representation out.
+    pub fn into_representation(self) -> UnitIntervalRepresentation {
+        self.rep
+    }
+
+    /// The conflict graph, built on the first call.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.graph.get_or_init(|| self.rep.to_graph())
     }
 
     /// `L(δ1,δ2)` assignment (paper Figure 2 / Theorem 3, corrected).
@@ -244,16 +262,16 @@ impl VehicularNetwork {
         let sep = SeparationVector::two(delta1, delta2).expect("valid separations");
         let lambda2 = l1_coloring(self.rep.as_interval(), 2).lambda_star;
         let lower = (delta1 * out.lambda_1).max(delta2 * lambda2);
-        AssignmentReport::build("unit-l-d1d2", &self.graph, &sep, &out.labeling, lower)
+        AssignmentReport::build("unit-l-d1d2", self.graph(), &sep, &out.labeling, lower)
     }
 
     /// Greedy baseline.
     pub fn assign_greedy(&self, delta1: u32, delta2: u32) -> AssignmentReport {
         let sep = SeparationVector::two(delta1, delta2).expect("valid separations");
-        let lab = greedy_bfs_order(&self.graph, &sep);
+        let lab = greedy_bfs_order(self.graph(), &sep);
         let lambda2 = l1_coloring(self.rep.as_interval(), 2).lambda_star;
         let lower = (delta1 * self.rep.lambda1() as u32).max(delta2 * lambda2);
-        AssignmentReport::build("greedy-bfs", &self.graph, &sep, &lab, lower)
+        AssignmentReport::build("greedy-bfs", self.graph(), &sep, &lab, lower)
     }
 }
 
@@ -276,6 +294,11 @@ impl BackboneNetwork {
     /// The underlying tree (BFS-canonical).
     pub fn tree(&self) -> &RootedTree {
         &self.tree
+    }
+
+    /// Moves the BFS-canonical tree out, dropping the graph.
+    pub fn into_tree(self) -> RootedTree {
+        self.tree
     }
 
     /// The conflict graph, in the original vertex numbering.

@@ -13,6 +13,9 @@ for root in src/lib.rs crates/*/src/lib.rs; do
     fi
 done
 
+echo "==> scripts/ab.sh parses (syntax only; a real A/B takes ~35 min)"
+sh -n scripts/ab.sh
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

@@ -154,6 +154,7 @@ use strongly_simplicial::lab::{
 use strongly_simplicial::labeling::auto::Guarantee;
 use strongly_simplicial::labeling::solver::{default_registry, Problem};
 use strongly_simplicial::labeling::{all_violations, SeparationVector, Workspace};
+use strongly_simplicial::net::Workload;
 use strongly_simplicial::netsim::{
     simulate_corridor, BackboneNetwork, ChurnReport, CorridorNetwork, DynamicsConfig, Policy,
     VehicularNetwork,
@@ -567,28 +568,13 @@ fn parse_request_line(path: &str, lineno: usize, line: &str) -> Result<LabelRequ
         if n < 1 {
             return Err(SsgError::parse(&ctx, "need a positive vertex count"));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        match workload {
-            "corridor" => RequestInstance::Interval(
-                CorridorNetwork::generate(n, 1.0, 1.0, 5.0, &mut rng)
-                    .representation()
-                    .clone(),
-            ),
-            "platoon" => RequestInstance::UnitInterval(
-                VehicularNetwork::platoon(n, 4, &mut rng)
-                    .representation()
-                    .clone(),
-            ),
-            "backbone" => {
-                RequestInstance::Tree(BackboneNetwork::generate(n, 4, &mut rng).tree().clone())
-            }
-            other => {
-                return Err(SsgError::parse(
-                    &ctx,
-                    format!("unknown workload `{other}` (corridor|platoon|backbone|file:<path>)"),
-                ));
-            }
-        }
+        let family = Workload::parse(workload).ok_or_else(|| {
+            SsgError::parse(
+                &ctx,
+                format!("unknown workload `{workload}` (corridor|platoon|backbone|file:<path>)"),
+            )
+        })?;
+        family.instance(n, seed)
     };
 
     let mut req = LabelRequest::new(lineno as u64, instance, sep);
@@ -1449,12 +1435,11 @@ fn cmd_loadgen(args: &[String]) -> Result<i32, SsgError> {
             }
             "--workload" => {
                 let token = flag_value("loadgen", "--workload", &mut it)?;
-                cfg.spec.workload =
-                    strongly_simplicial::net::Workload::parse(token).ok_or_else(|| {
-                        SsgError::Usage(format!(
-                            "loadgen: unknown workload `{token}` (corridor|platoon|backbone)"
-                        ))
-                    })?;
+                cfg.spec.workload = Workload::parse(token).ok_or_else(|| {
+                    SsgError::Usage(format!(
+                        "loadgen: unknown workload `{token}` (corridor|platoon|backbone)"
+                    ))
+                })?;
             }
             "--n" => {
                 let n: usize = parse_flag("loadgen", "--n", &mut it)?;
