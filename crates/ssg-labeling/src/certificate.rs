@@ -33,7 +33,7 @@ impl CliqueWitness {
 }
 
 /// Witness clique for a tree: `F_t(y*) ∪ {y*}` where `y*` maximizes
-/// `|F_t(y)|`. Its size is exactly `λ*_{T,t} + 1`. `O(nt log n)`.
+/// `|F_t(y)|`. Its size is exactly `λ*_{T,t} + 1`. `O(nt²)`.
 pub fn tree_clique_witness(tree: &RootedTree, t: u32) -> CliqueWitness {
     assert!(t >= 1);
     let y_star = (0..tree.len() as Vertex)

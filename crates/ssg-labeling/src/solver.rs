@@ -890,6 +890,7 @@ mod tests {
             "interval.approx_sweep",
             "unit_interval.components",
             "tree.color_levels",
+            "tree.lambda_star",
         ] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");
         }

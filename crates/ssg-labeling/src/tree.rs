@@ -1,8 +1,9 @@
 //! The paper's tree algorithms:
 //!
 //! * [`l1_coloring`] — `Tree-L(1,...,1)-coloring` (§4.1, Figure 5,
-//!   Theorem 4): optimal, `O(nt)`-flavored (our descendant sets are `O(1)`
-//!   BFS ranges plus an `O(log n)` locate, see `ssg-tree`).
+//!   Theorem 4): optimal, `O(nt)`-flavored (our descendant sets are BFS
+//!   ranges, each `D_i(x)` located by `i <= t` child-offset steps, see
+//!   `ssg-tree`).
 //! * [`approx_delta1_coloring`] — `Tree-L(δ1,1,...,1)-coloring` (§4.2,
 //!   Theorem 5): span at most `λ*_{T,t} + 2(δ1-1)`, a 3-approximation, in
 //!   `O(n(t + δ1))`.
@@ -121,7 +122,10 @@ fn color_tree(
 ) -> (Labeling, u32) {
     assert!(t >= 1, "interference radius t must be >= 1");
     let n = tree.len();
-    let lambda_star = tree_lambda_star(tree, t) as u32;
+    let lambda_star = {
+        let _span = metrics.span("tree.lambda_star");
+        tree_lambda_star(tree, t) as u32
+    };
     let pool = lambda_star + 1 + 2 * (delta1 - 1);
     let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {

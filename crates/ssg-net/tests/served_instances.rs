@@ -5,6 +5,7 @@
 //! labelings happen to stay valid.
 
 use ssg_engine::RequestInstance;
+use ssg_labeling::tree::{approx_delta1_coloring, l1_coloring};
 use ssg_labeling::SeparationVector;
 use ssg_net::protocol::{LabelSpec, Workload};
 
@@ -91,4 +92,47 @@ fn served_instances_match_recorded_digests() {
     }
     let rendered: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
     assert_eq!(got, DIGESTS, "digests now: [{}]", rendered.join(", "));
+}
+
+/// `(λ*, A4 labeling at L(1,1,1), A5 labeling at L(3,1,1))` of the backbone
+/// instance for `(n, seed)`, n ∈ {64, 4000} × [`SEEDS`]: λ* as its value,
+/// each labeling as the FNV-1a-64 digest of its colors. A change to the
+/// tree machinery that keeps labelings valid but not identical shows up
+/// here.
+#[rustfmt::skip]
+const BACKBONE_LABELINGS: [(u32, u64, u64); 6] = [
+    // n = 64 × seeds
+    (7, 0xaf57320b92db3ec5, 0x01c0ab09fecffbc0),
+    (7, 0xc222ac9a03af62c1, 0x37912a9acafea828),
+    (7, 0x3a777ca344acdfe1, 0x0b90ee4423be2e02),
+    // n = 4000 × seeds
+    (7, 0xf25027052c5e5723, 0x80a983da5a8d59c3),
+    (7, 0x6e6680d5cde0bc26, 0x3a90f4457a64fc06),
+    (7, 0xf4a082570437bcc1, 0x5a8267eb9a727b4d),
+];
+
+#[test]
+fn backbone_labelings_match_recorded_digests() {
+    let mut got = Vec::new();
+    for n in [64, 4000] {
+        for seed in SEEDS {
+            let RequestInstance::Tree(tree) = Workload::Backbone.instance(n, seed) else {
+                panic!("a backbone is a tree");
+            };
+            let a4 = l1_coloring(&tree, 3);
+            let a5 = approx_delta1_coloring(&tree, 3, 3);
+            assert_eq!(a5.lambda_star, a4.lambda_star, "n={n} seed={seed}");
+            let hash = |colors: &[u32]| fnv1a(colors.iter().map(|&c| u64::from(c)));
+            got.push((
+                a4.lambda_star,
+                hash(a4.labeling.colors()),
+                hash(a5.labeling.colors()),
+            ));
+        }
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(l, a4, a5)| format!("({l}, {a4:#018x}, {a5:#018x})"))
+        .collect();
+    assert_eq!(got, BACKBONE_LABELINGS, "now: [{}]", rendered.join(", "));
 }

@@ -7,9 +7,10 @@
 //! * [`explore_descendents`] — a faithful rendering of Figure 3 (postorder
 //!   accumulation of children's `D_{i-1}` lists), materializing all lists in
 //!   `O(nt)` time and space. Used as an oracle and for small inputs.
-//! * [`RootedTree::descendant_range`] (in `rooted`) — the `O(1)`-per-set
-//!   range view exploiting BFS-canonical numbering, used by the fast
-//!   algorithms. The two are differentially tested against each other.
+//! * [`RootedTree::descendant_range`] (in `rooted`) — the range view
+//!   exploiting BFS-canonical numbering, `O(i)` for `D_i(x)` and `O(1)`
+//!   space, used by the fast algorithms. The two are differentially tested
+//!   against each other.
 
 use crate::rooted::RootedTree;
 use ssg_graph::Vertex;
@@ -61,8 +62,7 @@ pub fn explore_descendents(tree: &RootedTree, t: u32) -> DescendantLists {
     for x in (0..n as u32).rev() {
         // "for every child v of x: for i := 1 to t: D_i(x) ∪= D_{i-1}(v)".
         // Children have larger ids, hence are already complete.
-        for ci in 0..tree.children(x).len() {
-            let v = tree.children(x)[ci];
+        for v in tree.children(x) {
             for i in 1..=t {
                 // Children are visited left to right and their lists are
                 // sorted, and all of child c's descendants precede child
@@ -86,8 +86,8 @@ pub fn explore_descendent_counts(tree: &RootedTree, t: u32) -> Vec<Vec<u32>> {
         row[0] = 1;
     }
     for x in (0..n as u32).rev() {
-        for ci in 0..tree.children(x).len() {
-            let v = tree.children(x)[ci] as usize;
+        for v in tree.children(x) {
+            let v = v as usize;
             for i in 1..=t as usize {
                 counts[x as usize][i] += counts[v][i - 1];
             }

@@ -32,7 +32,8 @@ use ssg_graph::Vertex;
 /// Visits every vertex of `Up-Neighborhood(y, uplevel)` for distance budget
 /// `t`, invoking `visit` once per vertex (never for `y` itself).
 ///
-/// `O(t log n + |F|)` using descendant ranges.
+/// `O(t² + |F|)`: at most two descendant ranges per ancestor, each at most
+/// `t` child-offset steps.
 pub fn for_each_in_up_neighborhood(
     tree: &RootedTree,
     y: Vertex,
@@ -79,7 +80,7 @@ pub fn up_neighborhood(tree: &RootedTree, y: Vertex, uplevel: u32, t: u32) -> Ve
 }
 
 /// `|F_t(y)|` — the size of the full up-neighborhood of `y`, computed from
-/// range lengths only in `O(t log n)`.
+/// range lengths only in `O(t²)`.
 pub fn f_t_size(tree: &RootedTree, y: Vertex, t: u32) -> usize {
     assert!(t >= 1);
     let ell = tree.level(y);
@@ -115,13 +116,19 @@ pub fn f_t_size(tree: &RootedTree, y: Vertex, t: u32) -> usize {
 }
 
 /// The optimal `L(1,...,1)` span of the tree:
-/// `λ*_{T,t} = max_y |F_t(y)|` (§4.1). `O(n t log n)`.
+/// `λ*_{T,t} = max_y |F_t(y)|` (§4.1).
 ///
 /// `F_t(y) ∪ {y}` is a clique of `A_{T_{l(y)},t}` because `y` is
 /// `t`-simplicial in `T_{l(y)}` (Lemma 5), so this is a lower bound; the
 /// Tree-`L(1,...,1)`-coloring algorithm attains it (Theorem 4).
+///
+/// `|F_t(y)|` depends only on `y`'s level and its ancestors `anc_i(y)`,
+/// `i >= 1`, which siblings share, so it is evaluated once per run of
+/// siblings (consecutive vertices with one parent): `O(t²)` per run. The
+/// root's `F_t` is empty.
 pub fn tree_lambda_star(tree: &RootedTree, t: u32) -> usize {
-    (0..tree.len() as Vertex)
+    (1..tree.len() as Vertex)
+        .filter(|&y| tree.parent(y) != tree.parent(y - 1))
         .map(|y| f_t_size(tree, y, t))
         .max()
         .unwrap_or(0)

@@ -8,11 +8,13 @@
 //!
 //! * vertex `0` is the root;
 //! * levels are contiguous vertex ranges (`level_range`);
-//! * within a level, the left-to-right order agrees with the DFS entry order
-//!   (children of earlier parents come first; siblings keep their order).
+//! * parents are nondecreasing in vertex order (children of earlier parents
+//!   come first; siblings keep their order), so the children of a vertex
+//!   range are again a vertex range, and so is every descendant set `D_i(x)`.
 
 use ssg_graph::{Graph, Vertex};
 use std::fmt;
+use std::ops::Range;
 
 /// Sentinel parent of the root.
 pub const NO_PARENT: u32 = u32::MAX;
@@ -60,15 +62,12 @@ pub struct RootedTree {
     parent: Vec<u32>,
     /// Level (depth) of each vertex; the root has level 0.
     level: Vec<u32>,
-    /// Children CSR: `child_off[v]..child_off[v+1]` indexes `child_buf`.
-    child_off: Vec<u32>,
-    child_buf: Vec<Vertex>,
+    /// `child_start[v]..child_start[v+1]` is the contiguous vertex range of
+    /// `v`'s children; `child_start.len() = n + 1` and `child_start[n] = n`.
+    child_start: Vec<u32>,
     /// `level_start[l]..level_start[l+1]` is the contiguous vertex range of
     /// level `l`; `level_start.len() = height + 2`.
     level_start: Vec<u32>,
-    /// DFS entry/exit times (preorder, children in BFS-canonical order).
-    tin: Vec<u32>,
-    tout: Vec<u32>,
     /// Mapping BFS-canonical vertex -> original graph vertex.
     original: Vec<Vertex>,
 }
@@ -148,9 +147,10 @@ impl RootedTree {
     }
 
     /// Builds directly from a parent array already in BFS-canonical order:
-    /// `parent[0] == NO_PARENT`, `parent[v] < v`, and levels nondecreasing
-    /// in `v`. `original[v]` records an external id for each vertex (use
-    /// `0..n` when there is none). Panics if the invariants fail.
+    /// `parent[0] == NO_PARENT`, `parent[v] < v`, and both levels and
+    /// parents nondecreasing in `v`. `original[v]` records an external id
+    /// for each vertex (use `0..n` when there is none). Panics if the
+    /// invariants fail.
     pub fn from_bfs_parents(
         parent: Vec<u32>,
         level: Vec<u32>,
@@ -168,25 +168,20 @@ impl RootedTree {
             );
             assert_eq!(level[v], level[parent[v] as usize] + 1, "level mismatch");
             assert!(level[v] >= level[v - 1], "levels must be nondecreasing");
+            assert!(
+                v == 1 || parent[v] >= parent[v - 1],
+                "parents must be nondecreasing in BFS order"
+            );
         }
-        // Children CSR (children appear in increasing id order automatically).
-        let mut cnt = vec![0u32; n];
-        for v in 1..n {
-            cnt[parent[v] as usize] += 1;
+        // Children of earlier vertices come first, so `v`'s children start
+        // at 1 (past the root) plus the children of the vertices before `v`.
+        let mut child_start = vec![0u32; n + 1];
+        for &p in &parent[1..] {
+            child_start[p as usize + 1] += 1;
         }
-        let mut child_off = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        child_off.push(0);
-        for &c in &cnt {
-            acc += c;
-            child_off.push(acc);
-        }
-        let mut cursor: Vec<u32> = child_off[..n].to_vec();
-        let mut child_buf = vec![0 as Vertex; n - 1];
-        for v in 1..n as u32 {
-            let p = parent[v as usize] as usize;
-            child_buf[cursor[p] as usize] = v;
-            cursor[p] += 1;
+        child_start[0] = 1;
+        for v in 1..=n {
+            child_start[v] += child_start[v - 1];
         }
         // Level ranges.
         let height = level[n - 1];
@@ -197,34 +192,11 @@ impl RootedTree {
         for i in 1..level_start.len() {
             level_start[i] += level_start[i - 1];
         }
-        // DFS entry/exit (iterative, children in CSR order).
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut timer = 0u32;
-        // Stack of (vertex, next child index).
-        let mut stack: Vec<(u32, u32)> = vec![(0, child_off[0])];
-        tin[0] = timer;
-        timer += 1;
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if *ci < child_off[v as usize + 1] {
-                let c = child_buf[*ci as usize];
-                *ci += 1;
-                tin[c as usize] = timer;
-                timer += 1;
-                stack.push((c, child_off[c as usize]));
-            } else {
-                tout[v as usize] = timer;
-                stack.pop();
-            }
-        }
         Ok(RootedTree {
             parent,
             level,
-            child_off,
-            child_buf,
+            child_start,
             level_start,
-            tin,
-            tout,
             original,
         })
     }
@@ -260,33 +232,15 @@ impl RootedTree {
         self.level[v as usize]
     }
 
-    /// Children of `v` in left-to-right order, as a contiguous slice of the
-    /// children CSR (`child_off`/`child_buf` mirror the flat layout of
-    /// `ssg_graph::Graph`).
+    /// Children of `v` in left-to-right order: a contiguous vertex range.
     #[inline]
-    pub fn children(&self, v: Vertex) -> &[Vertex] {
-        let s = self.child_off[v as usize] as usize;
-        let e = self.child_off[v as usize + 1] as usize;
-        &self.child_buf[s..e]
-    }
-
-    /// Sum of all backing buffer capacities, in elements — the tree-side
-    /// counterpart of `Graph::capacity_footprint`, used by churn tests to
-    /// certify that holding a tree across epochs allocates nothing new.
-    pub fn capacity_footprint(&self) -> usize {
-        self.parent.capacity()
-            + self.level.capacity()
-            + self.child_off.capacity()
-            + self.child_buf.capacity()
-            + self.level_start.capacity()
-            + self.tin.capacity()
-            + self.tout.capacity()
-            + self.original.capacity()
+    pub fn children(&self, v: Vertex) -> Range<Vertex> {
+        self.child_start[v as usize]..self.child_start[v as usize + 1]
     }
 
     /// The contiguous vertex range of level `l` (empty when `l > height`).
     #[inline]
-    pub fn level_range(&self, l: u32) -> std::ops::Range<Vertex> {
+    pub fn level_range(&self, l: u32) -> Range<Vertex> {
         if l as usize + 1 >= self.level_start.len() {
             return 0..0;
         }
@@ -312,15 +266,14 @@ impl RootedTree {
         Some(a)
     }
 
-    /// Whether `a` is an ancestor of (or equal to) `v`.
-    #[inline]
+    /// Whether `a` is an ancestor of (or equal to) `v`. `O(level(v))`.
     pub fn is_ancestor(&self, a: Vertex, v: Vertex) -> bool {
-        self.tin[a as usize] <= self.tin[v as usize] && self.tin[v as usize] < self.tout[a as usize]
+        let (la, lv) = (self.level(a), self.level(v));
+        la <= lv && self.ancestor(v, lv - la) == Some(a)
     }
 
     /// Lowest common ancestor of `u` and `v`. `O(height)` by level-aligned
-    /// parent walking (adequate for the paper's O(t)-bounded uses; callers
-    /// needing many far LCAs should cap with [`RootedTree::lca_capped`]).
+    /// parent walking (adequate for the paper's O(t)-bounded uses).
     pub fn lca(&self, mut u: Vertex, mut v: Vertex) -> Vertex {
         while self.level(u) > self.level(v) {
             u = self.parent[u as usize];
@@ -335,37 +288,6 @@ impl RootedTree {
         u
     }
 
-    /// Like [`RootedTree::lca`] but gives up after walking `cap` steps up
-    /// from each vertex, returning `None` when the LCA is farther than that.
-    /// Used by the coloring algorithm, which only needs
-    /// `min(t, l - l(lca) - 1)`.
-    pub fn lca_capped(&self, mut u: Vertex, mut v: Vertex, cap: u32) -> Option<Vertex> {
-        let mut steps = 0u32;
-        while self.level(u) > self.level(v) {
-            if steps == cap {
-                return None;
-            }
-            u = self.parent[u as usize];
-            steps += 1;
-        }
-        while self.level(v) > self.level(u) {
-            if steps == cap {
-                return None;
-            }
-            v = self.parent[v as usize];
-            steps += 1;
-        }
-        while u != v {
-            if steps == cap {
-                return None;
-            }
-            u = self.parent[u as usize];
-            v = self.parent[v as usize];
-            steps += 1;
-        }
-        Some(u)
-    }
-
     /// Tree distance between two vertices via the LCA.
     pub fn distance(&self, u: Vertex, v: Vertex) -> u32 {
         let a = self.lca(u, v);
@@ -373,27 +295,16 @@ impl RootedTree {
     }
 
     /// The vertices of the subtree of `x` at level `level(x) + i`, i.e. the
-    /// paper's `D_i(x)`, as a contiguous canonical-vertex range. `O(log n)`
-    /// by binary search within the level range.
-    pub fn descendant_range(&self, x: Vertex, i: u32) -> std::ops::Range<Vertex> {
-        if i == 0 {
-            return x..x + 1;
+    /// paper's `D_i(x)`, as a contiguous canonical-vertex range. The children
+    /// of a vertex range `[a, b)` are `[child_start[a], child_start[b])`, so
+    /// `D_i(x)` is `i` such steps from `[x, x + 1)`: `O(i)`.
+    pub fn descendant_range(&self, x: Vertex, i: u32) -> Range<Vertex> {
+        let (mut a, mut b) = (x, x + 1);
+        for _ in 0..i {
+            a = self.child_start[a as usize];
+            b = self.child_start[b as usize];
         }
-        let l = self.level(x) + i;
-        let range = self.level_range(l);
-        if range.is_empty() {
-            return 0..0;
-        }
-        // Vertices in a level are ordered by tin; descendants of x are those
-        // with tin in [tin(x), tout(x)).
-        let (lo, hi) = (self.tin[x as usize], self.tout[x as usize]);
-        let base = range.start;
-        let slice_len = (range.end - range.start) as usize;
-        let first =
-            base + partition_point(slice_len, |k| self.tin[(base + k as u32) as usize] < lo) as u32;
-        let last =
-            base + partition_point(slice_len, |k| self.tin[(base + k as u32) as usize] < hi) as u32;
-        first..last
+        a..b
     }
 
     /// `|D_i(x)|` without materializing the range contents.
@@ -410,20 +321,6 @@ impl RootedTree {
             .collect();
         Graph::from_edges(self.len(), &edges).expect("tree edges are valid")
     }
-}
-
-/// `slice::partition_point` over an implicit slice of length `len`.
-fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -520,25 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn lca_capped_agrees_or_gives_up() {
-        let g = generators::kary_tree(31, 2);
-        let t = canonical(&g, 0);
-        for u in 0..31 as Vertex {
-            for v in 0..31 as Vertex {
-                let full = t.lca(u, v);
-                let walk = t.level(u) + t.level(v) - 2 * t.level(full);
-                let steps_needed = (t.level(u) - t.level(full)).max(t.level(v) - t.level(full));
-                let _ = walk;
-                for cap in 0..6u32 {
-                    let got = t.lca_capped(u, v, cap);
-                    if cap >= steps_needed {
-                        assert_eq!(got, Some(full), "u={u} v={v} cap={cap}");
-                    } else {
-                        assert_eq!(got, None, "u={u} v={v} cap={cap}");
-                    }
-                }
-            }
-        }
+    #[should_panic(expected = "parents must be nondecreasing")]
+    fn rejects_parents_out_of_bfs_order() {
+        // Levels and `parent[v] < v` hold, but vertex 3's parent (2) comes
+        // after vertex 4's (1): no BFS visits the tree in this order.
+        let parent = vec![NO_PARENT, 0, 0, 2, 1];
+        let _ = RootedTree::from_bfs_parents(parent, vec![0, 1, 1, 2, 2], (0..5).collect());
     }
 
     #[test]
@@ -574,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn subtree_check_via_tin_tout() {
+    fn is_ancestor_on_a_binary_tree() {
         let g = generators::kary_tree(15, 2);
         let t = canonical(&g, 0);
         assert!(t.is_ancestor(0, 14));

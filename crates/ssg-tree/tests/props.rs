@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use ssg_graph::Graph;
-use ssg_tree::{explore_descendents, f_t_size, up_neighborhood, RootedTree};
+use ssg_tree::{explore_descendents, f_t_size, tree_lambda_star, up_neighborhood, RootedTree};
 
 fn arb_tree() -> impl Strategy<Value = RootedTree> {
     (2usize..24).prop_flat_map(|n| {
@@ -58,6 +58,12 @@ proptest! {
             let up = t.min(tree.level(y));
             prop_assert_eq!(up_neighborhood(&tree, y, up, t).len(), expect);
         }
+    }
+
+    #[test]
+    fn lambda_star_is_the_largest_f_t(tree in arb_tree(), t in 1u32..8) {
+        let largest = (0..tree.len() as u32).map(|y| f_t_size(&tree, y, t)).max();
+        prop_assert_eq!(tree_lambda_star(&tree, t), largest.unwrap_or(0), "t={}", t);
     }
 
     #[test]
