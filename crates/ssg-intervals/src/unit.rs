@@ -122,21 +122,6 @@ impl UnitIntervalRepresentation {
         self.rep.is_connected()
     }
 
-    /// Whether the graph is a simple path `P_n` (every vertex degree ≤ 2 and
-    /// no triangle). The paper's §3.3 algorithm requires "not a path"; paths
-    /// are routed to the exact DP instead.
-    pub fn is_path(&self) -> bool {
-        if self.len() <= 1 {
-            return true;
-        }
-        if self.max_clique() > 2 {
-            return false;
-        }
-        // With clique number <= 2 a connected unit interval graph is a path;
-        // disconnected ones are unions of paths — require connectivity too.
-        self.is_connected()
-    }
-
     /// In a unit interval graph, the main structural property the paper uses:
     /// if `v < u` and `vu ∈ E` then `{v, v+1, ..., u}` is a clique. This
     /// checks the property (for tests).
@@ -189,23 +174,6 @@ mod tests {
         let u = UnitIntervalRepresentation::from_intervals(&[(0.0, 2.0), (1.0, 3.5), (3.0, 5.0)])
             .unwrap();
         assert_eq!(u.len(), 3);
-    }
-
-    #[test]
-    fn path_detection() {
-        let path = UnitIntervalRepresentation::from_centers(&[0.0, 0.9, 1.8, 2.7]).unwrap();
-        assert!(path.is_path());
-        let tri = UnitIntervalRepresentation::from_centers(&[0.0, 0.3, 0.6]).unwrap();
-        assert!(!tri.is_path());
-        let disconnected = UnitIntervalRepresentation::from_centers(&[0.0, 0.5, 5.0]).unwrap();
-        assert!(!disconnected.is_path());
-        let tiny = UnitIntervalRepresentation::from_centers(&[0.0, 0.5]).unwrap();
-        assert!(tiny.is_path());
-        let apart = UnitIntervalRepresentation::from_centers(&[0.0, 5.0]).unwrap();
-        assert!(!apart.is_connected());
-        assert!(!apart.is_path(), "two disjoint intervals are not P_2");
-        let single = UnitIntervalRepresentation::from_centers(&[1.0]).unwrap();
-        assert!(single.is_path());
     }
 
     #[test]

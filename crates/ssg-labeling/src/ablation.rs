@@ -16,45 +16,31 @@ use ssg_intervals::{Endpoint, IntervalRepresentation};
 use std::collections::BTreeSet;
 
 /// Figure 1 with `BTreeSet` palettes and smallest-color extraction.
-/// Optimal span, `O(nt log n)`.
+/// Optimal span, `O(nt log n)`. Like [`crate::interval::l1_coloring`], it
+/// restarts its palettes at each gap between components.
 pub fn l1_coloring_btreeset(rep: &IntervalRepresentation, t: u32) -> (Labeling, u32) {
     assert!(t >= 1);
-    let n = rep.len();
-    if n == 0 {
-        return (Labeling::new(Vec::new()), 0);
-    }
-    let mut colors = vec![0u32; n];
-    let mut lambda = 0u32;
-    let mut components = rep.components();
-    if components.len() == 1 {
-        let (cc, cl) = run_btreeset(rep, t);
-        return (Labeling::new(cc), cl);
-    }
-    for (comp, verts) in components.drain(..) {
-        let (cc, cl) = run_btreeset(&comp, t);
-        lambda = lambda.max(cl);
-        for (i, &v) in verts.iter().enumerate() {
-            colors[v as usize] = cc[i];
-        }
-    }
-    (Labeling::new(colors), lambda)
-}
-
-fn run_btreeset(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
     let n = rep.len();
     let mut palettes: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); t as usize + 1];
     let mut level = vec![0u32; n + 1]; // level per color; colors < n+1
     let mut dep: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut colors = vec![u32::MAX; n];
-    let mut lambda: i64 = -1;
+    let mut next_color = 0u32; // colors introduced in this component
+    let mut lambda = 0u32;
     let mut max_r = 0u32;
     let mut deep = 0u32;
+    let mut open = 0usize;
     for &ev in rep.events() {
         match ev {
             Endpoint::Left(v) => {
+                if open == 0 && v > 0 {
+                    palettes.iter_mut().for_each(BTreeSet::clear);
+                    next_color = 0;
+                }
                 if palettes[0].is_empty() {
-                    lambda += 1;
-                    palettes[0].insert(lambda as u32);
+                    palettes[0].insert(next_color);
+                    lambda = lambda.max(next_color);
+                    next_color += 1;
                 }
                 let c = *palettes[0].iter().next().expect("refilled");
                 palettes[0].remove(&c);
@@ -66,8 +52,10 @@ fn run_btreeset(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
                     max_r = rep.right(v);
                     deep = v;
                 }
+                open += 1;
             }
             Endpoint::Right(v) => {
+                open -= 1;
                 let drained = std::mem::take(&mut dep[v as usize]);
                 for c in drained {
                     let j = level[c as usize];
@@ -82,7 +70,7 @@ fn run_btreeset(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
             }
         }
     }
-    (colors, lambda.max(0) as u32)
+    (Labeling::new(colors), lambda)
 }
 
 /// Textbook greedy on the sweep: for each opening interval take the mex of
@@ -90,28 +78,6 @@ fn run_btreeset(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
 /// a boolean scan. Optimal span, but `O(n · span + nt)`.
 pub fn l1_coloring_scan(rep: &IntervalRepresentation, t: u32) -> (Labeling, u32) {
     assert!(t >= 1);
-    let n = rep.len();
-    if n == 0 {
-        return (Labeling::new(Vec::new()), 0);
-    }
-    let mut components = rep.components();
-    if components.len() == 1 {
-        let (cc, cl) = run_scan(rep, t);
-        return (Labeling::new(cc), cl);
-    }
-    let mut colors = vec![0u32; n];
-    let mut lambda = 0u32;
-    for (comp, verts) in components.drain(..) {
-        let (cc, cl) = run_scan(&comp, t);
-        lambda = lambda.max(cl);
-        for (i, &v) in verts.iter().enumerate() {
-            colors[v as usize] = cc[i];
-        }
-    }
-    (Labeling::new(colors), lambda)
-}
-
-fn run_scan(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
     let n = rep.len();
     // busy[c] > 0 <=> color c sits in some P_j with j >= 1 (blocked).
     let mut busy: Vec<bool> = Vec::new();
@@ -121,9 +87,13 @@ fn run_scan(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
     let mut lambda = 0u32;
     let mut max_r = 0u32;
     let mut deep = 0u32;
+    let mut open = 0usize;
     for &ev in rep.events() {
         match ev {
             Endpoint::Left(v) => {
+                if open == 0 && v > 0 {
+                    busy.clear(); // a gap: the next component starts afresh
+                }
                 let c = busy.iter().position(|&b| !b).unwrap_or_else(|| {
                     busy.push(false);
                     busy.len() - 1
@@ -137,8 +107,10 @@ fn run_scan(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
                     max_r = rep.right(v);
                     deep = v;
                 }
+                open += 1;
             }
             Endpoint::Right(v) => {
+                open -= 1;
                 let drained = std::mem::take(&mut dep[v as usize]);
                 for c in drained {
                     let j = level[c as usize];
@@ -152,7 +124,7 @@ fn run_scan(rep: &IntervalRepresentation, t: u32) -> (Vec<u32>, u32) {
             }
         }
     }
-    (colors, lambda)
+    (Labeling::new(colors), lambda)
 }
 
 #[cfg(test)]

@@ -5,8 +5,16 @@
 //! * [`approx_delta1_coloring`] — `Interval-L(δ1,1,...,1)-coloring`
 //!   (§3.2, Theorem 2): legal coloring with largest color at most
 //!   `λ*_{G,t} + 2(δ1-1) λ*_{G,1}`, a 3-approximation.
+//! * [`lambda_star`] — the optimal span `λ*_{G,t}` alone, counted in
+//!   `O(nt)` without a palette.
+//!
+//! Both sweeps color a disconnected input in one pass. Vertices of
+//! different components are never within distance `t`, so at a *gap* (a
+//! left endpoint with no interval open) a sweep restarts its palettes
+//! exactly as a run on the next component alone would start them, and
+//! keeps only the largest color and the probe tallies.
 
-use crate::spec::Labeling;
+use crate::spec::{theorem_bound, Labeling};
 use crate::workspace::{ensure_dep, ensure_u32, Workspace};
 use ssg_graph::Vertex;
 use ssg_intervals::{Endpoint, IntervalRepresentation};
@@ -23,9 +31,9 @@ pub struct IntervalL1Output {
 }
 
 /// `Interval-L(1,...,1)-coloring` (Figure 1). Optimal for any interval
-/// graph; disconnected inputs are handled by coloring each component
-/// independently from a shared color pool, which is optimal because
-/// vertices of different components are never within distance `t`.
+/// graph; each component of a disconnected input is colored as it would be
+/// on its own, from a shared color pool, which is optimal because vertices
+/// of different components are never within distance `t`.
 ///
 /// `O(nt)` after the `O(n log n)` normalization already stored in `rep`.
 ///
@@ -47,10 +55,9 @@ pub fn l1_coloring(rep: &IntervalRepresentation, t: u32) -> IntervalL1Output {
 
 /// [`l1_coloring`] on a caller-owned [`Workspace`], with telemetry: records
 /// one [`Counter::PeelSteps`] per colored vertex and the palette probes of
-/// the sweep on `metrics`. Repeated solves on same-sized representations
-/// reuse every scratch buffer (zero heap allocation once warm; disconnected
-/// inputs still allocate their per-component sub-representations) and
-/// record [`Counter::WorkspaceReuses`]. Recycle the output via
+/// the sweep on `metrics`. Repeated solves on same-sized representations,
+/// connected or not, reuse every scratch buffer (zero heap allocation once
+/// warm) and record [`Counter::WorkspaceReuses`]. Recycle the output via
 /// [`Workspace::recycle`] to keep the warm path allocation-free.
 pub fn l1_coloring_ws(
     rep: &IntervalRepresentation,
@@ -60,63 +67,9 @@ pub fn l1_coloring_ws(
 ) -> IntervalL1Output {
     assert!(t >= 1, "interference radius t must be >= 1");
     ws.begin_solve(metrics);
-    l1_inner(rep, t, ws, metrics)
-}
-
-/// [`l1_coloring_ws`] without the `begin_solve` announcement — the shared
-/// body used by A2/A3 subruns so that one public solve records at most one
-/// workspace reuse.
-pub(crate) fn l1_inner(
-    rep: &IntervalRepresentation,
-    t: u32,
-    ws: &mut Workspace,
-    metrics: &Metrics,
-) -> IntervalL1Output {
+    let _span = metrics.span("interval.sweep");
     let n = rep.len();
-    if n == 0 {
-        return IntervalL1Output {
-            labeling: Labeling::new(Vec::new()),
-            lambda_star: 0,
-        };
-    }
-    if rep.is_connected() {
-        let _span = metrics.span("interval.sweep");
-        let mut colors = ws.take_colors(n, u32::MAX);
-        let lambda = l1_connected(rep, t, ws, &mut colors, metrics);
-        return IntervalL1Output {
-            labeling: Labeling::new(colors),
-            lambda_star: lambda,
-        };
-    }
-    let _span = metrics.span("interval.components");
-    let mut colors = ws.take_colors(n, 0);
-    let mut lambda = 0u32;
-    for (comp, verts) in rep.components() {
-        let mut cc = ws.take_colors(comp.len(), u32::MAX);
-        let cl = l1_connected(&comp, t, ws, &mut cc, metrics);
-        lambda = lambda.max(cl);
-        for (i, &v) in verts.iter().enumerate() {
-            colors[v as usize] = cc[i];
-        }
-        ws.recycle_colors(cc);
-    }
-    IntervalL1Output {
-        labeling: Labeling::new(colors),
-        lambda_star: lambda,
-    }
-}
-
-/// Figure 1 on a connected representation, writing into `colors` (length
-/// `n`, pre-filled with `u32::MAX`). Returns `λ*_{G,t}`.
-fn l1_connected(
-    rep: &IntervalRepresentation,
-    t: u32,
-    ws: &mut Workspace,
-    colors: &mut [u32],
-    metrics: &Metrics,
-) -> u32 {
-    let n = rep.len();
-    debug_assert!(rep.is_connected());
+    let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
         palette: palettes,
         dep,
@@ -127,17 +80,19 @@ fn l1_connected(
     palettes.reset(t, 0);
     // L_v: colors currently "depending on" interval v.
     ensure_dep(dep, n, grow_events);
-    let mut lambda: i64 = -1;
+    let mut lambda_star = 0u32;
     let mut max_r = 0u32;
     let mut deep: Vertex = 0;
     let mut open = 0usize;
     for &ev in rep.events() {
         match ev {
             Endpoint::Left(v) => {
+                if open == 0 && v > 0 {
+                    palettes.restart(0); // a gap: the next component starts afresh
+                }
                 if palettes.is_empty(0) {
-                    lambda += 1;
-                    let c = palettes.grow();
-                    debug_assert_eq!(c as i64, lambda);
+                    // The new color's id is this component's λ so far.
+                    lambda_star = lambda_star.max(palettes.grow());
                 }
                 let c = palettes.pop(0).expect("P_0 was just refilled");
                 colors[v as usize] = c;
@@ -161,9 +116,9 @@ fn l1_connected(
                         if deep != v {
                             dep[deep as usize].push(c);
                         } else {
-                            // deep == v only once all intervals have closed
-                            // (connected input): the color will not be needed
-                            // again, so dropping the dependency is safe.
+                            // deep == v only when v closes its component:
+                            // the color will not be needed again there, so
+                            // dropping the dependency is safe.
                             debug_assert_eq!(open, 0);
                         }
                     }
@@ -171,13 +126,85 @@ fn l1_connected(
             }
         }
     }
-    let lambda = lambda.max(0) as u32;
     if metrics.is_enabled() {
         metrics.add(Counter::PeelSteps, n as u64);
         metrics.add(Counter::PaletteProbes, palettes.probe_count());
         metrics.add(Counter::PaletteWordScans, palettes.word_scan_count());
     }
-    lambda
+    IntervalL1Output {
+        labeling: Labeling::new(colors),
+        lambda_star,
+    }
+}
+
+/// The optimal span `λ*_{G,t}`, counted without coloring in `O(nt)`. By
+/// Theorem 1 and Lemma 3 it is the size of the largest prefix ball
+/// `{u <= v : d(u, v) <= t}`, minus one: the clique that
+/// [`interval_clique_witness`](crate::certificate::interval_clique_witness)
+/// extracts.
+///
+/// ```
+/// use ssg_intervals::IntervalRepresentation;
+/// use ssg_labeling::interval::{l1_coloring, lambda_star};
+/// let rep = IntervalRepresentation::from_floats(&[
+///     (0.0, 3.0), (1.0, 4.0), (2.0, 5.0), (4.5, 6.0),
+/// ]).unwrap();
+/// assert_eq!(lambda_star(&rep, 1), 2);
+/// assert_eq!(lambda_star(&rep, 2), l1_coloring(&rep, 2).lambda_star);
+/// ```
+pub fn lambda_star(rep: &IntervalRepresentation, t: u32) -> u32 {
+    count_lambda_star(rep, t, &mut Workspace::new())
+}
+
+/// [`lambda_star`] on the workspace's rank buffers.
+///
+/// Let `R⁰(u) = right(u)`, and let `Rⁱ(u)` be the largest right endpoint
+/// among the intervals that open before `Rⁱ⁻¹(u)`. Vertices `u < v` are
+/// within distance `t` iff `left(v) < R^{t-1}(u)`, so the prefix ball of
+/// `v` is the set of ranges `[left(u), R^{t-1}(u))` open at `left(v)`. One
+/// pass records the prefix maxima `reach`, and one sweep opens each range
+/// at its left endpoint and closes it at its reach.
+fn count_lambda_star(rep: &IntervalRepresentation, t: u32, ws: &mut Workspace) -> u32 {
+    assert!(t >= 1, "interference radius t must be >= 1");
+    let events = rep.events();
+    // Both halves are indexed by rank 1..=2n; event k has rank k + 1.
+    let ranks = events.len() + 1;
+    let Workspace {
+        ranks: buf,
+        grow_events,
+        ..
+    } = ws;
+    ensure_u32(buf, 2 * ranks, 0, grow_events);
+    let (reach, closes) = buf.split_at_mut(ranks);
+    // reach[k]: the largest right endpoint among intervals opening before k.
+    let mut max_r = 0;
+    for (k, &ev) in events.iter().enumerate() {
+        reach[k + 1] = max_r;
+        if let Endpoint::Left(v) = ev {
+            max_r = max_r.max(rep.right(v));
+        }
+    }
+    let mut open = 0u32;
+    let mut widest = 0u32;
+    for (k, &ev) in events.iter().enumerate() {
+        match ev {
+            Endpoint::Left(u) => {
+                open += 1;
+                widest = widest.max(open);
+                let mut r = rep.right(u);
+                for _ in 1..t {
+                    let next = reach[r as usize];
+                    if next == r {
+                        break; // no interval reaches further
+                    }
+                    r = next;
+                }
+                closes[r as usize] += 1;
+            }
+            Endpoint::Right(_) => open -= closes[k + 1],
+        }
+    }
+    widest.saturating_sub(1)
 }
 
 /// The profile `[λ*_{G,1}, λ*_{G,2}, ..., λ*_{G,t_max}]` of optimal
@@ -193,8 +220,9 @@ fn l1_connected(
 /// assert_eq!(lambda_profile(&rep, 3), vec![2, 3, 3]);
 /// ```
 pub fn lambda_profile(rep: &IntervalRepresentation, t_max: u32) -> Vec<u32> {
+    let mut ws = Workspace::new();
     (1..=t_max)
-        .map(|i| l1_coloring(rep, i).lambda_star)
+        .map(|t| count_lambda_star(rep, t, &mut ws))
         .collect()
 }
 
@@ -203,9 +231,9 @@ pub fn lambda_profile(rep: &IntervalRepresentation, t_max: u32) -> Vec<u32> {
 pub struct IntervalApproxOutput {
     /// The coloring.
     pub labeling: Labeling,
-    /// `λ*_{G,t}` computed by the optimal subroutine.
+    /// `λ*_{G,t}`, counted by [`lambda_star`].
     pub lambda_t: u32,
-    /// `λ*_{G,1}` computed by the optimal subroutine.
+    /// `λ*_{G,1} = ω(G) - 1`.
     pub lambda_1: u32,
     /// Theorem 2's guaranteed largest color
     /// `U = λ*_{G,t} + 2(δ1-1) λ*_{G,1}`.
@@ -214,17 +242,18 @@ pub struct IntervalApproxOutput {
 
 /// `Interval-L(δ1,1,...,1)-coloring` (§3.2, Theorem 2).
 ///
-/// Runs [`l1_coloring`] twice to obtain `λ*_{G,1}` and `λ*_{G,t}`, then
-/// repeats the Figure 1 sweep with `P_0` pre-filled with
-/// `{0, ..., λ*_{G,t} + 2(δ1-1)λ*_{G,1}}`. When a color `c` is assigned, the
-/// `2(δ1-1)` colors nearest to `c` are *blocked* until the interval closes.
+/// Counts `λ*_{G,t}` (see [`lambda_star`]) and reads `λ*_{G,1} = ω(G) - 1`
+/// off the representation, then repeats the Figure 1 sweep with `P_0`
+/// pre-filled with `{0, ..., λ*_{G,t} + 2(δ1-1)λ*_{G,1}}`. When a color `c`
+/// is assigned, the `2(δ1-1)` colors nearest to `c` are *blocked* until the
+/// interval closes.
 /// A per-color block counter generalizes the paper's "insert them into
 /// `P_1`" description to the case where a color is within `δ1` of several
 /// open intervals or still descending through the palettes — the counting
 /// argument of Theorem 2 (at most `λ*_{G,t}` colors held by distance plus at
 /// most `2(δ1-1)λ*_{G,1}` blocked) is unchanged, so the pool never runs dry.
 ///
-/// `O(n (t + δ1))`.
+/// `O(n (t + δ1))`. Panics when `U` does not fit in `u32`.
 pub fn approx_delta1_coloring(
     rep: &IntervalRepresentation,
     t: u32,
@@ -234,10 +263,9 @@ pub fn approx_delta1_coloring(
 }
 
 /// [`approx_delta1_coloring`] on a caller-owned [`Workspace`] (see
-/// [`l1_coloring_ws`] for the reuse contract), with telemetry. The two
-/// optimal subruns that compute `λ*_{G,1}` and `λ*_{G,t}` are real work of
-/// the algorithm, so their peel steps and palette probes are recorded on
-/// `metrics` too.
+/// [`l1_coloring_ws`] for the reuse contract), with telemetry: records one
+/// [`Counter::PeelSteps`] per colored vertex and the palette probes of the
+/// sweep. The `λ*` count colors nothing and records no counter.
 pub fn approx_delta1_coloring_ws(
     rep: &IntervalRepresentation,
     t: u32,
@@ -248,63 +276,19 @@ pub fn approx_delta1_coloring_ws(
     assert!(t >= 1, "interference radius t must be >= 1");
     assert!(delta1 >= 1, "delta1 must be >= 1");
     ws.begin_solve(metrics);
-    let n = rep.len();
-    if n == 0 {
-        return IntervalApproxOutput {
-            labeling: Labeling::new(Vec::new()),
-            lambda_t: 0,
-            lambda_1: 0,
-            upper_bound: 0,
-        };
-    }
     let (lambda_t, lambda_1) = {
         let _span = metrics.span("interval.lambda_bounds");
-        let sub = l1_inner(rep, t, ws, metrics);
-        let lambda_t = sub.lambda_star;
-        ws.recycle(sub.labeling);
-        let sub = l1_inner(rep, 1, ws, metrics);
-        let lambda_1 = sub.lambda_star;
-        ws.recycle(sub.labeling);
-        (lambda_t, lambda_1)
+        let lambda_1 = rep.max_clique().saturating_sub(1) as u32;
+        (count_lambda_star(rep, t, ws), lambda_1)
     };
-    let upper_bound = lambda_t + 2 * (delta1 - 1) * lambda_1;
-    let mut colors = ws.take_colors(n, 0);
-    {
-        let _span = metrics.span("interval.approx_sweep");
-        if rep.is_connected() {
-            approx_connected(rep, t, delta1, upper_bound, ws, &mut colors, metrics);
-        } else {
-            for (comp, verts) in rep.components() {
-                let mut cc = ws.take_colors(comp.len(), u32::MAX);
-                approx_connected(&comp, t, delta1, upper_bound, ws, &mut cc, metrics);
-                for (i, &v) in verts.iter().enumerate() {
-                    colors[v as usize] = cc[i];
-                }
-                ws.recycle_colors(cc);
-            }
-        }
-    }
-    IntervalApproxOutput {
-        labeling: Labeling::new(colors),
-        lambda_t,
-        lambda_1,
-        upper_bound,
-    }
-}
-
-/// §3.2 sweep on a connected representation with a fixed pool `{0..=bound}`,
-/// writing into `colors` (length `n`; every entry is assigned).
-fn approx_connected(
-    rep: &IntervalRepresentation,
-    t: u32,
-    delta1: u32,
-    bound: u32,
-    ws: &mut Workspace,
-    colors: &mut [u32],
-    metrics: &Metrics,
-) {
+    let upper_bound = theorem_bound(
+        "Theorem 2's U = λ*ₜ + 2(δ1−1)λ*₁",
+        u128::from(lambda_t) + 2 * u128::from(delta1 - 1) * u128::from(lambda_1),
+    );
+    let _span = metrics.span("interval.approx_sweep");
     let n = rep.len();
-    let pool = bound as usize + 1;
+    let pool = upper_bound as usize + 1;
+    let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
         palette: palettes,
         dep,
@@ -322,12 +306,18 @@ fn approx_connected(
     let mut open = 0usize;
     let window = |c: u32| {
         let lo = c.saturating_sub(delta1 - 1);
-        let hi = (c + delta1 - 1).min(bound);
+        let hi = c.saturating_add(delta1 - 1).min(upper_bound);
         (lo..=hi).filter(move |&x| x != c)
     };
     for &ev in rep.events() {
         match ev {
             Endpoint::Left(v) => {
+                if open == 0 && v > 0 {
+                    // A gap: every block counter is back at zero, and the
+                    // next component starts from a fresh pool.
+                    debug_assert!(block.iter().all(|&b| b == 0));
+                    palettes.restart(pool);
+                }
                 // P_0 holds exactly the unblocked level-0 colors; Theorem 2
                 // guarantees it is non-empty here.
                 let c = palettes
@@ -393,6 +383,12 @@ fn approx_connected(
         metrics.add(Counter::PeelSteps, n as u64);
         metrics.add(Counter::PaletteProbes, palettes.probe_count());
         metrics.add(Counter::PaletteWordScans, palettes.word_scan_count());
+    }
+    IntervalApproxOutput {
+        labeling: Labeling::new(colors),
+        lambda_t,
+        lambda_1,
+        upper_bound,
     }
 }
 
@@ -525,6 +521,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn warm_disconnected_solves_do_not_grow_the_workspace() {
+        let mut rng = StdRng::seed_from_u64(56);
+        let rep = random_intervals(300, 600.0, 0.5, 4.0, &mut rng);
+        assert!(rep.components().len() > 10);
+        let mut ws = Workspace::new();
+        let m = Metrics::disabled();
+        for round in 0..3 {
+            let grows = ws.grow_events();
+            let footprint = ws.capacity_footprint();
+            let a1 = l1_coloring_ws(&rep, 2, &mut ws, &m);
+            ws.recycle(a1.labeling);
+            let a2 = approx_delta1_coloring_ws(&rep, 2, 3, &mut ws, &m);
+            ws.recycle(a2.labeling);
+            if round > 0 {
+                assert_eq!(ws.grow_events(), grows, "round {round}: a buffer grew");
+                assert_eq!(ws.capacity_footprint(), footprint, "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Theorem 2's U = λ*ₜ + 2(δ1−1)λ*₁ = 4294967298 overflows u32")]
+    fn approx_names_an_overflowing_bound() {
+        // λ*₁ = λ*ₜ = 2 and 2(δ1−1)λ*₁ = 2³², so U does not fit in u32.
+        let rep =
+            IntervalRepresentation::from_floats(&[(0.0, 3.0), (1.0, 4.0), (2.0, 5.0)]).unwrap();
+        approx_delta1_coloring(&rep, 1, (1 << 30) + 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! | Module | Paper artifact | Guarantee |
 //! |---|---|---|
 //! | [`interval::l1_coloring`] | Figure 1, Theorem 1 | optimal, `O(nt)` |
+//! | [`interval::lambda_star`] | Theorem 1, Lemma 3 | `λ*_{G,t}` without coloring, `O(nt)` |
 //! | [`interval::approx_delta1_coloring`] | §3.2, Theorem 2 | span ≤ `λ*_t + 2(δ1-1)λ*₁`, ≤ 3·OPT |
 //! | [`unit_interval::l_delta1_delta2_coloring`] | Figure 2, Theorem 3 | span per Theorem 3 (δ1>2δ2 case corrected — see module docs), ≤ 3·OPT |
 //! | [`tree::l1_coloring`] | Figures 3–5, Theorem 4 | optimal, `O(nt)` |

@@ -70,16 +70,26 @@ impl PaletteFamily {
     /// [`Workspace`](crate::workspace::Workspace) rerun an algorithm
     /// without heap allocation.
     pub fn reset(&mut self, t: u32, pool: usize) {
-        self.next.clear();
-        self.prev.clear();
-        self.level.clear();
-        self.linked.clear();
         self.head.clear();
         self.head.resize(t as usize + 1, NIL);
         self.len.clear();
         self.len.resize(t as usize + 1, 0);
         self.probes = 0;
         self.word_scans = 0;
+        self.restart(pool);
+    }
+
+    /// [`reset`](Self::reset) to the same number of palettes, keeping the
+    /// probe and word tallies: the palettes a sweep restarts from when it
+    /// crosses a gap between connected components, so that one solve's
+    /// tallies sum over its components.
+    pub fn restart(&mut self, pool: usize) {
+        self.next.clear();
+        self.prev.clear();
+        self.level.clear();
+        self.linked.clear();
+        self.head.fill(NIL);
+        self.len.fill(0);
         for _ in 0..pool {
             self.grow();
         }
@@ -380,6 +390,23 @@ mod tests {
         assert_eq!(f.pop(0), Some(1));
         assert_eq!(f.pop(0), Some(0));
         assert_eq!(f.pop(0), None);
+    }
+
+    #[test]
+    fn restart_matches_reset_but_keeps_tallies() {
+        let mut f = PaletteFamily::new(2, 3);
+        f.pop(0);
+        f.move_to(0, 2);
+        f.grow();
+        let (probes, scans) = (f.probe_count(), f.word_scan_count());
+        f.restart(2);
+        let fresh = PaletteFamily::new(2, 2);
+        assert_eq!(f.num_levels(), fresh.num_levels());
+        assert_eq!(f.pool_size(), fresh.pool_size());
+        assert_eq!(f.collect(0), fresh.collect(0));
+        assert!(f.is_empty(1) && f.is_empty(2));
+        assert_eq!(f.probe_count(), probes);
+        assert_eq!(f.word_scan_count(), scans + fresh.word_scan_count());
     }
 
     #[test]

@@ -882,6 +882,23 @@ mod tests {
         let g = generators::random_tree(30, &mut rng);
         let tree = RootedTree::bfs_canonical(&g, 0).unwrap();
         r.solve("tree_l1", &Problem::tree(&tree, &sep), &mut ws, &m);
+        // A corridor with a gap: A1 and A2 cross it inside their sweeps.
+        let gapped = IntervalRepresentation::from_floats(&[
+            (0.0, 2.0),
+            (1.0, 3.0),
+            (2.5, 4.0),
+            (10.0, 12.0),
+            (11.0, 13.0),
+        ])
+        .unwrap();
+        assert!(!gapped.is_connected());
+        r.solve("interval_l1", &Problem::interval(&gapped, &sep), &mut ws, &m);
+        r.solve(
+            "interval_approx_delta1",
+            &Problem::interval(&gapped, &sep_d1),
+            &mut ws,
+            &m,
+        );
 
         let names: Vec<&str> = m.recorder().unwrap().events().iter().map(|e| e.name).collect();
         for expected in [
@@ -894,6 +911,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");
         }
+        assert!(!names.contains(&"interval.components"), "{names:?}");
     }
 
     #[test]

@@ -191,6 +191,14 @@ impl Labeling {
     }
 }
 
+/// A theorem's largest color, computed wide so that nothing wraps: `value`
+/// as a `u32`, or a panic naming the bound when it does not fit. Every
+/// color a solver assigns is at most its bound, so checking the bound once
+/// keeps the per-vertex arithmetic in range.
+pub(crate) fn theorem_bound(name: &str, value: u128) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| panic!("{name} = {value} overflows u32"))
+}
+
 /// A violated constraint found by [`verify_labeling`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {

@@ -31,7 +31,7 @@
 //! wide-and-deep trees within the `O(nt)` budget.
 
 use crate::palette::PaletteFamily;
-use crate::spec::Labeling;
+use crate::spec::{theorem_bound, Labeling};
 use crate::workspace::Workspace;
 use ssg_error::SsgError;
 use ssg_graph::Vertex;
@@ -66,7 +66,7 @@ pub fn l1_coloring_ws(
 ) -> TreeL1Output {
     ws.begin_solve(metrics);
     let _span = metrics.span("tree.color_levels");
-    let (labeling, lambda_star) = color_tree(tree, t, 1, ws, metrics);
+    let (labeling, lambda_star, _) = color_tree(tree, t, 1, ws, metrics);
     TreeL1Output {
         labeling,
         lambda_star,
@@ -103,37 +103,41 @@ pub fn approx_delta1_coloring_ws(
     assert!(delta1 >= 1);
     ws.begin_solve(metrics);
     let _span = metrics.span("tree.color_levels");
-    let (labeling, lambda_star) = color_tree(tree, t, delta1, ws, metrics);
+    let (labeling, lambda_star, upper_bound) = color_tree(tree, t, delta1, ws, metrics);
     TreeApproxOutput {
         labeling,
         lambda_star,
-        upper_bound: lambda_star + 2 * (delta1 - 1),
+        upper_bound,
     }
 }
 
 /// Shared sweep: `delta1 == 1` is exactly Figure 5; `delta1 > 1` is the
-/// §4.2 generalization. Returns `(labeling, λ*)`.
+/// §4.2 generalization. Returns `(labeling, λ*, λ* + 2(δ1-1))`, and panics
+/// when Theorem 5's bound `λ* + 2(δ1-1)` does not fit in `u32`.
 fn color_tree(
     tree: &RootedTree,
     t: u32,
     delta1: u32,
     ws: &mut Workspace,
     metrics: &Metrics,
-) -> (Labeling, u32) {
+) -> (Labeling, u32, u32) {
     assert!(t >= 1, "interference radius t must be >= 1");
     let n = tree.len();
     let lambda_star = {
         let _span = metrics.span("tree.lambda_star");
         tree_lambda_star(tree, t) as u32
     };
-    let pool = lambda_star + 1 + 2 * (delta1 - 1);
+    let bound = theorem_bound(
+        "Theorem 5's bound λ*ₜ + 2(δ1−1)",
+        u128::from(lambda_star) + 2 * u128::from(delta1 - 1),
+    );
     let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
         palette: pal,
         level_log,
         ..
     } = ws;
-    pal.reset(0, pool as usize);
+    pal.reset(0, bound as usize + 1);
     // Colors that left the palette during the current level; re-linked at
     // the next level's start (amortized per-level reset).
     level_log.clear();
@@ -221,7 +225,7 @@ fn color_tree(
         metrics.add(Counter::PaletteProbes, pal.probe_count());
         metrics.add(Counter::PaletteWordScans, pal.word_scan_count());
     }
-    (Labeling::new(colors), lambda_star)
+    (Labeling::new(colors), lambda_star, bound)
 }
 
 /// `min(t, ℓ - level(lca(o, x)) - 1)` via a lockstep parent walk capped at
@@ -320,7 +324,7 @@ pub fn l1_coloring_forest_ws(
     for comp in ssg_graph::traversal::component_vertex_lists(g) {
         let (sub, names) = g.induced_subgraph(&comp);
         let tree = RootedTree::bfs_canonical(&sub, 0).expect("component of a forest is a tree");
-        let (labeling, lambda_star) = color_tree(&tree, t, 1, ws, metrics);
+        let (labeling, lambda_star, _) = color_tree(&tree, t, 1, ws, metrics);
         lambda = lambda.max(lambda_star);
         for v in 0..tree.len() as Vertex {
             let sub_id = tree.original_id(v);
@@ -460,6 +464,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "Theorem 5's bound λ*ₜ + 2(δ1−1) = 4294967297 overflows u32")]
+    fn approx_names_an_overflowing_bound() {
+        // λ* = 1 on an edge at t = 1, and 2(δ1−1) = 2³².
+        let tree = canonical(&ssg_graph::generators::path(2));
+        approx_delta1_coloring(&tree, 1, (1 << 31) + 1);
     }
 
     #[test]

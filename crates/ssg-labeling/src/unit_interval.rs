@@ -30,7 +30,7 @@
 //! the paper prescribes ("assume the graph is not a path, otherwise \[10\]").
 
 use crate::exact::path_optimal_with;
-use crate::spec::Labeling;
+use crate::spec::{theorem_bound, Labeling};
 use crate::workspace::Workspace;
 use ssg_intervals::UnitIntervalRepresentation;
 use ssg_telemetry::{Counter, Metrics};
@@ -66,7 +66,7 @@ pub struct UnitIntervalOutput {
 
 /// `Unit-Interval-L(δ1,δ2)-coloring` with the corrections described in the
 /// module docs. Handles disconnected inputs per component. `O(n)` after the
-/// `λ*₁` computations.
+/// `λ*₁` count. Panics when the chosen scheme's bound does not fit in `u32`.
 pub fn l_delta1_delta2_coloring(
     rep: &UnitIntervalRepresentation,
     delta1: u32,
@@ -83,10 +83,10 @@ pub fn l_delta1_delta2_coloring(
 
 /// [`l_delta1_delta2_coloring`] on a caller-owned [`Workspace`], with
 /// telemetry: records one [`Counter::PeelSteps`] per colored vertex and
-/// counts the `λ*₁` subruns, scheme-verification comparisons, and path-DP
-/// work against the other counters. Color buffers and the `λ*₁` subruns
-/// draw from the arena, and solves after the first record one
-/// [`Counter::WorkspaceReuses`].
+/// counts the scheme-verification comparisons and path-DP work against the
+/// other counters. Color buffers draw from the arena, and solves after the
+/// first record one [`Counter::WorkspaceReuses`]. A connected input is
+/// colored in place; a disconnected one is split into its components.
 pub fn l_delta1_delta2_coloring_ws(
     rep: &UnitIntervalRepresentation,
     delta1: u32,
@@ -107,13 +107,23 @@ pub fn l_delta1_delta2_coloring_ws(
         };
     }
     let _span = metrics.span("unit_interval.components");
+    if rep.is_connected() {
+        let (colors, scheme, bound) = color_component(rep, lambda_1, delta1, delta2, ws, metrics);
+        return UnitIntervalOutput {
+            labeling: Labeling::new(colors),
+            lambda_1,
+            guaranteed_bound: bound,
+            schemes: vec![scheme],
+        };
+    }
     let mut colors = ws.take_colors(n, 0);
     let mut schemes = Vec::new();
     let mut bound = 0u32;
     for (comp, verts) in rep.as_interval().components() {
-        let comp_unit = UnitIntervalRepresentation::from_representation(comp)
+        let comp = UnitIntervalRepresentation::from_representation(comp)
             .expect("components of a proper representation stay proper");
-        let (cc, scheme, b) = color_component(&comp_unit, delta1, delta2, ws, metrics);
+        let l1 = comp.lambda1() as u32;
+        let (cc, scheme, b) = color_component(&comp, l1, delta1, delta2, ws, metrics);
         bound = bound.max(b);
         schemes.push(scheme);
         for (i, &v) in verts.iter().enumerate() {
@@ -129,46 +139,42 @@ pub fn l_delta1_delta2_coloring_ws(
     }
 }
 
-/// Colors one connected component; returns `(colors, scheme, bound)`. The
-/// color buffer is drawn from the arena — callers hand it back with
-/// [`Workspace::recycle_colors`] after copying it out.
+/// Colors one connected component whose `λ*₁` is `l1`; returns `(colors,
+/// scheme, bound)`. The color buffer is drawn from the arena — callers
+/// hand it back with [`Workspace::recycle_colors`] once done with it.
 fn color_component(
     comp: &UnitIntervalRepresentation,
+    l1: u32,
     delta1: u32,
     delta2: u32,
     ws: &mut Workspace,
     metrics: &Metrics,
 ) -> (Vec<u32>, UnitScheme, u32) {
     let m = comp.len();
+    debug_assert!(comp.is_connected());
     if metrics.is_enabled() {
         metrics.add(Counter::PeelSteps, m as u64);
     }
     if m == 1 {
         return (ws.take_colors(1, 0), UnitScheme::Singleton, 0);
     }
-    if comp.is_path() {
+    if l1 < 2 {
+        // A connected graph with ω = 2 is a path.
         let (lab, span) = path_optimal_with(m, delta1, delta2, metrics);
         return (lab.into_colors(), UnitScheme::PathExact, span);
     }
-    let sub = crate::interval::l1_inner(comp.as_interval(), 1, ws, metrics); // component λ*₁
-    let l1 = sub.lambda_star;
-    ws.recycle(sub.labeling);
-    debug_assert!(l1 >= 2, "non-path connected unit graphs have ω >= 3");
     let mut colors = ws.take_colors(m, 0);
-    if delta1 <= 2 * delta2 {
-        // Figure 2, second branch, verbatim (0-indexed vertices).
-        let modulus = (2 * l1 + 3) * delta2;
+    if small_delta1(delta1, delta2) {
+        // Figure 2, second branch (0-indexed vertices).
+        let span = modular_span(l1, delta2);
         for (v, c) in colors.iter_mut().enumerate() {
-            *c = (2 * delta2 * v as u32) % modulus;
+            *c = modular_color(v, l1, delta2);
         }
-        return (
-            colors,
-            UnitScheme::ModularSmallDelta1,
-            2 * delta2 * (l1 + 1),
-        );
+        return (colors, UnitScheme::ModularSmallDelta1, span);
     }
     // Try the published comb first; keep it when the instance's tight runs
     // happen to avoid the conflicting period offsets (see module docs).
+    let paper_span = comb_span(l1, delta1, delta2);
     for (v, c) in colors.iter_mut().enumerate() {
         *c = comb_color(v as u32, l1, delta1, delta2);
     }
@@ -180,15 +186,48 @@ fn color_component(
         metrics.add(Counter::PaletteProbes, comparisons);
     }
     if verified {
-        (colors, UnitScheme::PaperCombs, l1 * delta1 + delta2)
+        (colors, UnitScheme::PaperCombs, paper_span)
     } else {
         // Pair combs: provably legal on every unit interval graph.
-        let step = delta1 + delta2;
+        let span = theorem_bound(
+            "Theorem 3's pair-comb span λ*₁(δ1 + δ2) + δ2",
+            u128::from(l1) * (u128::from(delta1) + u128::from(delta2)) + u128::from(delta2),
+        );
+        let step = delta1 + delta2; // at most the span, since λ*₁ >= 1
         for (v, c) in colors.iter_mut().enumerate() {
             *c = comb_color_step(v as u32, l1, step, delta2);
         }
-        (colors, UnitScheme::PairCombs, l1 * step + delta2)
+        (colors, UnitScheme::PairCombs, span)
     }
+}
+
+/// Whether `δ1 <= 2δ2`, the regime of Figure 2's closed form.
+fn small_delta1(delta1: u32, delta2: u32) -> bool {
+    u64::from(delta1) <= 2 * u64::from(delta2)
+}
+
+/// The closed form's span `2δ2(λ*₁ + 1)`.
+fn modular_span(lambda1: u32, delta2: u32) -> u32 {
+    theorem_bound(
+        "Theorem 3's span 2δ2(λ*₁ + 1)",
+        2 * u128::from(delta2) * (u128::from(lambda1) + 1),
+    )
+}
+
+/// Figure 2's `(2δ2·v) mod ((2λ*₁ + 3)δ2)`, reduced before multiplying as
+/// `δ2·((2v) mod (2λ*₁ + 3))`: the same value, and never above
+/// [`modular_span`], so it cannot wrap where the bound fits.
+fn modular_color(v: usize, lambda1: u32, delta2: u32) -> u32 {
+    let period = 2 * lambda1 as usize + 3;
+    delta2 * ((2 * v) % period) as u32
+}
+
+/// The published comb's span `λ*₁δ1 + δ2`.
+fn comb_span(lambda1: u32, delta1: u32, delta2: u32) -> u32 {
+    theorem_bound(
+        "Theorem 3's comb span λ*₁δ1 + δ2",
+        u128::from(lambda1) * u128::from(delta1) + u128::from(delta2),
+    )
 }
 
 /// Fast `L(δ1,δ2)` legality check exploiting the unit-interval structure:
@@ -263,12 +302,14 @@ fn comb_color_step(v: u32, lambda1: u32, step: u32, delta2: u32) -> u32 {
 pub fn figure2_literal(rep: &UnitIntervalRepresentation, delta1: u32, delta2: u32) -> Labeling {
     assert!(delta1 >= delta2 && delta2 >= 1);
     let lambda1 = rep.lambda1() as u32;
-    let n = rep.len() as u32;
-    let colors = if delta1 <= 2 * delta2 {
-        let modulus = (2 * lambda1 + 3) * delta2;
-        (0..n).map(|v| (2 * delta2 * v) % modulus).collect()
+    let n = rep.len();
+    // Each scheme's span is checked only so that no color can wrap.
+    let colors = if small_delta1(delta1, delta2) {
+        modular_span(lambda1, delta2);
+        (0..n).map(|v| modular_color(v, lambda1, delta2)).collect()
     } else {
-        (0..n)
+        comb_span(lambda1, delta1, delta2);
+        (0..n as u32)
             .map(|v| comb_color(v, lambda1, delta1, delta2))
             .collect()
     };
@@ -470,6 +511,31 @@ mod tests {
             let slow = verify_labeling(&g, &sep, &colors).is_ok();
             assert_eq!(fast, slow);
         }
+    }
+
+    #[test]
+    fn closed_form_does_not_wrap() {
+        // 2δ2·v passes 2³² at v = 8 on this chain of 4-cliques; reducing
+        // first keeps Figure 2's (2δ2·v) mod ((2λ*₁ + 3)δ2) exact.
+        let d: u32 = 1 << 28;
+        let centers: Vec<f64> = (0..12).map(|i| f64::from(i) * 0.3).collect();
+        let rep = UnitIntervalRepresentation::from_centers(&centers).unwrap();
+        assert_eq!(rep.lambda1(), 3);
+        let out = check_legal(&rep, d, d);
+        let exact: Vec<u32> = (0..12u64)
+            .map(|v| (2 * u64::from(d) * v % (9 * u64::from(d))) as u32)
+            .collect();
+        assert_eq!(out.labeling.colors(), &exact[..]);
+        assert_eq!(figure2_literal(&rep, d, d).colors(), &exact[..]);
+        assert_eq!(out.guaranteed_bound, 8 * d);
+    }
+
+    #[test]
+    #[should_panic(expected = "Theorem 3's span 2δ2(λ*₁ + 1) = 21474836480 overflows u32")]
+    fn names_an_overflowing_span() {
+        let rep = UnitIntervalRepresentation::from_centers(&[0.0, 0.1, 0.2, 0.3, 0.4]).unwrap();
+        assert_eq!(rep.lambda1(), 4);
+        l_delta1_delta2_coloring(&rep, 1 << 31, 1 << 31);
     }
 
     #[test]

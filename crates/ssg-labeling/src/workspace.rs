@@ -36,10 +36,9 @@
 //! * Output `Labeling`s are *moved out* of the arena (via the internal
 //!   `take_colors` free list); callers that want the warm path
 //!   allocation-free hand the buffer back with [`Workspace::recycle`].
-//! * Sub-algorithms (A2's two optimal subruns, A3's per-component `λ*₁`
-//!   pass) share the same arena as their caller — internal entry points do
-//!   **not** call `begin_solve`, so one public solve records at most one
-//!   reuse event and counters stay bit-identical to the pre-arena code.
+//! * Steps of one solve (A2's `λ*_{G,t}` count before its sweep) share the
+//!   arena with it and do **not** call `begin_solve`, so one public solve
+//!   records at most one reuse event.
 //! * For parallel sweeps, a [`WorkspacePool`] hands each rayon worker an
 //!   exclusive warm workspace (checkout/checkin behind a mutex: the
 //!   vendored rayon exposes no worker identity, and the checkout cost is
@@ -66,6 +65,9 @@ pub struct Workspace {
     pub(crate) drained: Vec<u32>,
     /// Per-color block counters of the §3.2 approximation.
     pub(crate) block: Vec<u32>,
+    /// Rank-indexed scratch of the interval `λ*_{G,t}` count: furthest
+    /// reaches, then closing tallies.
+    pub(crate) ranks: Vec<u32>,
     /// Per-level extraction log of the Figure 5 tree sweep.
     pub(crate) level_log: Vec<u32>,
     /// Vertex-order buffer (greedy BFS order, default orders).
@@ -126,6 +128,7 @@ impl Workspace {
             + self.dep.iter().map(Vec::capacity).sum::<usize>()
             + self.drained.capacity()
             + self.block.capacity()
+            + self.ranks.capacity()
             + self.level_log.capacity()
             + self.order.capacity()
             + self.seen.capacity()

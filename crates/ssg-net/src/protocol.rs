@@ -358,15 +358,31 @@ pub fn render_ok(outcome: &LabelOutcome, trace: Option<u64>) -> String {
     let colors = outcome.labeling.colors();
     let mut line = String::with_capacity(8 + colors.len() * 4);
     line.push_str("OK ");
-    line.push_str(&outcome.labeling.span().to_string());
+    push_decimal(&mut line, outcome.labeling.span());
     for &c in colors {
         line.push(' ');
-        line.push_str(&c.to_string());
+        push_decimal(&mut line, c);
     }
     if let Some(trace_id) = trace {
         line.push_str(&format!(" trace={trace_id:016x}"));
     }
     line
+}
+
+/// Appends the decimal digits of `x` to `line`: what `x.to_string()` gives,
+/// without allocating a `String` per number.
+fn push_decimal(line: &mut String, mut x: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    line.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Renders the failure line for an error (no trailing newline). The
@@ -608,7 +624,44 @@ impl<R: Read> LineReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssg_labeling::Labeling;
     use std::io::Cursor;
+    use std::time::Duration;
+
+    /// The `OK` line built with one `to_string` per number.
+    fn ok_line_by_to_string(outcome: &LabelOutcome, trace: Option<u64>) -> String {
+        let mut line = String::from("OK ");
+        line.push_str(&outcome.labeling.span().to_string());
+        for c in outcome.labeling.colors() {
+            line.push(' ');
+            line.push_str(&c.to_string());
+        }
+        if let Some(trace_id) = trace {
+            line.push_str(&format!(" trace={trace_id:016x}"));
+        }
+        line
+    }
+
+    #[test]
+    fn ok_line_digits_match_to_string() {
+        let outcome = |colors: Vec<u32>| LabelOutcome {
+            labeling: Labeling::new(colors),
+            algorithm: String::new(),
+            wall: Duration::ZERO,
+        };
+        let RequestInstance::Interval(rep) = Workload::Corridor.instance(4000, 7) else {
+            panic!("a corridor is an interval instance");
+        };
+        let served = ssg_labeling::interval::l1_coloring(&rep, 2).labeling;
+        for out in [
+            outcome(vec![0, 9, 10, 99, 100, u32::MAX]),
+            outcome(served.into_colors()),
+        ] {
+            for trace in [None, Some(0xfeed_face_cafe_beef)] {
+                assert_eq!(render_ok(&out, trace), ok_line_by_to_string(&out, trace));
+            }
+        }
+    }
 
     #[test]
     fn label_line_round_trips() {

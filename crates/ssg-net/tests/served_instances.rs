@@ -6,7 +6,7 @@
 
 use ssg_engine::RequestInstance;
 use ssg_labeling::tree::{approx_delta1_coloring, l1_coloring};
-use ssg_labeling::SeparationVector;
+use ssg_labeling::{interval, unit_interval, verify_labeling, SeparationVector};
 use ssg_net::protocol::{LabelSpec, Workload};
 
 /// Digests recorded for `(workload, n, seed)`, in the loop order of
@@ -135,4 +135,73 @@ fn backbone_labelings_match_recorded_digests() {
         .map(|(l, a4, a5)| format!("({l}, {a4:#018x}, {a5:#018x})"))
         .collect();
     assert_eq!(got, BACKBONE_LABELINGS, "now: [{}]", rendered.join(", "));
+}
+
+/// `(λ*ₜ, λ*₁, U, A1 at L(1,1), A2 at L(2,1), A3 at L(5,2))` for
+/// `(n, seed)`, n ∈ {64, 4000} × [`SEEDS`]: A1 and A2 label the corridor
+/// instance and A3 the platoon instance. A2's λ*ₜ, λ*₁ and Theorem 2's U
+/// are pinned as values, each labeling as the FNV-1a-64 digest of its
+/// colors. Corridors at n = 4000 split into about a dozen components, so
+/// these digests also pin how the sweeps cross the gaps between them. A
+/// platoon's labeling depends only on `n`, like its instance.
+#[rustfmt::skip]
+const INTERVAL_LABELINGS: [(u32, u32, u32, u64, u64, u64); 6] = [
+    // n = 64 × seeds
+    (21, 12, 45, 0xd0e82fee08392d40, 0x0f3322272581fbc1, 0x706f689e4fc9f7b9),
+    (15, 10, 35, 0x7332edfa6ce152ce, 0x973d6cda85b15f54, 0x706f689e4fc9f7b9),
+    (18, 10, 38, 0x7726e489fe0e250a, 0xefe5e65b7fda9fa0, 0x706f689e4fc9f7b9),
+    // n = 4000 × seeds
+    (27, 17, 61, 0x1ec71d95ece7cace, 0x64c6ecc2afaa4a44, 0xfed97ae20be5ab25),
+    (32, 16, 64, 0x5cba6ac5bff1c0c2, 0x96252acf47f9ca8a, 0xfed97ae20be5ab25),
+    (28, 15, 58, 0xacb06c33470fcf82, 0x8252fb4035d2b4d7, 0xfed97ae20be5ab25),
+];
+
+#[test]
+fn interval_labelings_match_recorded_digests() {
+    let hash = |colors: &[u32]| fnv1a(colors.iter().map(|&c| u64::from(c)));
+    let mut got = Vec::new();
+    for n in [64, 4000] {
+        for seed in SEEDS {
+            let RequestInstance::Interval(rep) = Workload::Corridor.instance(n, seed) else {
+                panic!("a corridor is an interval instance");
+            };
+            let RequestInstance::UnitInterval(unit) = Workload::Platoon.instance(n, seed) else {
+                panic!("a platoon is a unit-interval instance");
+            };
+            let a1 = interval::l1_coloring(&rep, 2);
+            let a2 = interval::approx_delta1_coloring(&rep, 2, 2);
+            let a3 = unit_interval::l_delta1_delta2_coloring(&unit, 5, 2);
+            assert_eq!(a1.lambda_star, a2.lambda_t, "n={n} seed={seed}");
+            got.push((
+                a2.lambda_t,
+                a2.lambda_1,
+                a2.upper_bound,
+                hash(a1.labeling.colors()),
+                hash(a2.labeling.colors()),
+                hash(a3.labeling.colors()),
+            ));
+        }
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(lt, l1, u, a1, a2, a3)| {
+            format!("({lt}, {l1}, {u}, {a1:#018x}, {a2:#018x}, {a3:#018x})")
+        })
+        .collect();
+    assert_eq!(got, INTERVAL_LABELINGS, "now: [{}]", rendered.join(", "));
+}
+
+/// `LABEL platoon 4000 7 1048576,1048576`: A3's closed form `2δ2·v` passes
+/// 2³² here, and a wrapped color once gave adjacent vehicles 2046 and 2048
+/// the same channel.
+#[test]
+fn platoon_at_large_separations_gets_a_valid_labeling() {
+    let RequestInstance::UnitInterval(unit) = Workload::Platoon.instance(4000, 7) else {
+        panic!("a platoon is a unit-interval instance");
+    };
+    let d = 1 << 20;
+    let out = unit_interval::l_delta1_delta2_coloring(&unit, d, d);
+    let sep = SeparationVector::two(d, d).unwrap();
+    verify_labeling(&unit.to_graph(), &sep, out.labeling.colors()).unwrap();
+    assert_eq!(out.labeling.span(), 10 * d, "Theorem 3: 2δ2(λ*₁ + 1) at λ*₁ = 4");
 }
