@@ -65,7 +65,8 @@
 use ssg_error::SsgError;
 use ssg_graph::Graph;
 use ssg_intervals::{IntervalRepresentation, UnitIntervalRepresentation};
-use ssg_labeling::solver::Problem;
+use ssg_labeling::auto::GraphClass;
+use ssg_labeling::solver::{auto_route, Problem};
 use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, Workspace};
 use ssg_telemetry::{Counter, Gauge, Hist, Metrics, Phase};
 use ssg_tree::RootedTree;
@@ -107,9 +108,11 @@ impl RequestInstance {
 /// How a [`LabelRequest`] picks its algorithm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum SolverHint {
-    /// Route by instance shape and separation vector (the same tables as
-    /// [`SolverRegistry::auto_coloring`]); the strongest applicable solver
-    /// wins.
+    /// Route by instance shape and separation vector through the registry's
+    /// one route table, [`auto_route`]. A bare graph is classified first and
+    /// falls back to greedy BFS without a route
+    /// ([`SolverRegistry::auto_coloring`]); a shaped instance without a route
+    /// is answered with [`SsgError::Spec`].
     #[default]
     Auto,
     /// Dispatch to the named registered solver; unknown names come back as
@@ -452,13 +455,6 @@ impl Engine {
         &self.inner.metrics
     }
 
-    /// Whether the engine still accepts submissions (`false` once a drain
-    /// or shutdown has begun). Acceptors can poll this to refuse new
-    /// network work while in-flight requests finish.
-    pub fn is_accepting(&self) -> bool {
-        self.inner.accepting.load(Ordering::Acquire)
-    }
-
     /// Drain hook: stop accepting new submissions without blocking or
     /// joining workers. In-flight and queued jobs still complete; pair with
     /// [`Engine::drain`] to wait for them. Idempotent.
@@ -559,15 +555,6 @@ impl Engine {
         }
     }
 
-    /// Jobs currently sitting in shard queues (racy snapshot).
-    pub fn queue_depth(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.jobs.lock().expect("engine shard poisoned").len())
-            .sum()
-    }
-
     /// Graceful drain-then-shutdown: stop accepting, finish every accepted
     /// job, join the workers. Dropping the engine does the same.
     pub fn shutdown(mut self) {
@@ -578,10 +565,7 @@ impl Engine {
         if self.handles.is_empty() {
             return;
         }
-        self.inner.accepting.store(false, Ordering::Release);
-        for shard in &self.inner.shards {
-            shard.not_full.notify_all();
-        }
+        self.begin_drain();
         self.inner.wait_drained();
         self.inner.running.store(false, Ordering::Release);
         for shard in &self.inner.shards {
@@ -779,9 +763,10 @@ impl Inner {
         }
     }
 
-    /// Resolves the request's solver and runs it. Auto-routing mirrors
-    /// [`SolverRegistry::auto_coloring`]'s tables, specialized to the
-    /// instance shape the request already certifies.
+    /// Resolves the request's solver and runs it. Under
+    /// [`SolverHint::Auto`] a bare graph goes through
+    /// [`SolverRegistry::auto_coloring`], and a shaped instance runs the
+    /// solver [`auto_route`] picks for the class its shape guarantees.
     fn dispatch(
         &self,
         req: &LabelRequest,
@@ -789,78 +774,33 @@ impl Inner {
     ) -> Result<(Labeling, String), SsgError> {
         let sep = &req.sep;
         let m = &self.metrics;
-        if let SolverHint::Named(name) = &req.hint {
-            let problem = match &req.instance {
-                RequestInstance::Graph(g) => Problem::graph(g, sep),
-                RequestInstance::Interval(rep) => Problem::interval(rep, sep),
-                RequestInstance::UnitInterval(rep) => Problem::unit_interval(rep, sep),
-                RequestInstance::Tree(t) => Problem::tree(t, sep),
-            };
-            let labeling = self.registry.try_solve(name, &problem, ws, m)?;
-            return Ok((labeling, name.clone()));
-        }
-        let tail_ones = (2..=sep.t()).all(|i| sep.delta(i) == 1);
-        match &req.instance {
-            RequestInstance::Graph(g) => {
+        let (problem, class) = match &req.instance {
+            RequestInstance::Graph(g) if req.hint == SolverHint::Auto => {
                 let out = self.registry.auto_coloring(g, sep, ws, m);
-                Ok((out.labeling, out.algorithm.to_string()))
+                return Ok((out.labeling, out.algorithm.to_string()));
             }
-            RequestInstance::Interval(rep) => {
-                let name = if sep.is_all_ones() {
-                    "interval_l1"
-                } else if tail_ones {
-                    "interval_approx_delta1"
-                } else {
-                    return Err(no_auto_route("interval", sep));
-                };
-                let labeling =
-                    self.registry
-                        .try_solve(name, &Problem::interval(rep, sep), ws, m)?;
-                Ok((labeling, name.to_string()))
-            }
+            RequestInstance::Graph(g) => (Problem::graph(g, sep), GraphClass::Unknown),
+            RequestInstance::Interval(rep) => (Problem::interval(rep, sep), GraphClass::Interval),
             RequestInstance::UnitInterval(rep) => {
-                if sep.is_all_ones() {
-                    let problem = Problem::interval(rep.as_interval(), sep);
-                    let labeling = self.registry.try_solve("interval_l1", &problem, ws, m)?;
-                    Ok((labeling, "interval_l1".to_string()))
-                } else if sep.t() == 2 {
-                    let name = "unit_interval_l_delta1_delta2";
-                    let problem = Problem::unit_interval(rep, sep);
-                    let labeling = self.registry.try_solve(name, &problem, ws, m)?;
-                    Ok((labeling, name.to_string()))
-                } else if tail_ones {
-                    let problem = Problem::interval(rep.as_interval(), sep);
-                    let labeling =
-                        self.registry
-                            .try_solve("interval_approx_delta1", &problem, ws, m)?;
-                    Ok((labeling, "interval_approx_delta1".to_string()))
-                } else {
-                    Err(no_auto_route("unit-interval", sep))
-                }
+                (Problem::unit_interval(rep, sep), GraphClass::ProperInterval)
             }
-            RequestInstance::Tree(t) => {
-                let name = if sep.is_all_ones() {
-                    "tree_l1"
-                } else if tail_ones {
-                    "tree_approx_delta1"
-                } else {
-                    return Err(no_auto_route("tree", sep));
-                };
-                let labeling = self
-                    .registry
-                    .try_solve(name, &Problem::tree(t, sep), ws, m)?;
-                Ok((labeling, name.to_string()))
-            }
-        }
+            RequestInstance::Tree(t) => (Problem::tree(t, sep), GraphClass::Tree),
+        };
+        let name = match &req.hint {
+            SolverHint::Named(name) => name.as_str(),
+            SolverHint::Auto => auto_route(class, sep).ok_or_else(|| {
+                SsgError::Spec(format!(
+                    "no {shape} solver for L({deltas:?}): only all-ones, delta1-then-ones, or \
+                     (for unit intervals) t = 2 vectors have auto routes — name a solver \
+                     explicitly",
+                    shape = problem.instance.kind().name(),
+                    deltas = sep.deltas()
+                ))
+            })?,
+        };
+        let labeling = self.registry.try_solve(name, &problem, ws, m)?;
+        Ok((labeling, name.to_string()))
     }
-}
-
-fn no_auto_route(shape: &str, sep: &SeparationVector) -> SsgError {
-    SsgError::Spec(format!(
-        "no {shape} solver for L({deltas:?}): only all-ones, delta1-then-ones, or (for unit \
-         intervals) t = 2 vectors have auto routes — name a solver explicitly",
-        deltas = sep.deltas()
-    ))
 }
 
 fn worker_loop(inner: &Inner, me: usize, ws: &mut Workspace) {
@@ -1013,6 +953,23 @@ mod tests {
             responses[2].result,
             Err(SsgError::ClassMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn named_interval_solver_takes_a_unit_interval_instance() {
+        let engine = Engine::builder().workers(1).build();
+        let unit = ssg_intervals::gen::random_connected_unit_intervals(20, 0.5, &mut rand_rng());
+        let sep = SeparationVector::all_ones(2);
+        let want = ssg_labeling::interval::l1_coloring(unit.as_interval(), 2).labeling;
+        let req =
+            LabelRequest::new(0, RequestInstance::UnitInterval(unit), sep).solver("interval_l1");
+        let responses = engine.run_batch(vec![req]);
+        let out = responses[0]
+            .result
+            .as_ref()
+            .expect("interval_l1 takes a unit interval");
+        assert_eq!(out.labeling, want);
+        assert_eq!(out.algorithm, "interval_l1");
     }
 
     #[test]

@@ -8,13 +8,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssg_engine::{Engine, LabelRequest, RequestInstance, SolverHint};
 use ssg_graph::generators;
-use ssg_labeling::solver::Problem;
-use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, Workspace};
+use ssg_labeling::auto::GraphClass;
+use ssg_labeling::solver::{auto_route, Problem};
+use ssg_labeling::{Labeling, SeparationVector, SolverRegistry, SsgError, Workspace};
 use ssg_telemetry::Metrics;
 use ssg_tree::RootedTree;
 
 /// A mixed bag of requests across every instance shape, seeded from one
-/// proptest-chosen u64 so runs are reproducible.
+/// proptest-chosen u64 so runs are reproducible: one named solver per
+/// shape, then auto requests on the tree, interval and unit-interval
+/// shapes at all-ones, `(δ1, 1)` and `(δ1, δ2)` (the last has no route on
+/// trees or intervals).
 fn build_requests(seed: u64, per_shape: usize) -> Vec<LabelRequest> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut reqs = Vec::new();
@@ -25,8 +29,12 @@ fn build_requests(seed: u64, per_shape: usize) -> Vec<LabelRequest> {
         let g = generators::random_tree(n, &mut rng);
         let tree = RootedTree::bfs_canonical(&g, 0).unwrap();
         reqs.push(
-            LabelRequest::new(id, RequestInstance::Tree(tree), SeparationVector::all_ones(2))
-                .solver("tree_l1"),
+            LabelRequest::new(
+                id,
+                RequestInstance::Tree(tree.clone()),
+                SeparationVector::all_ones(2),
+            )
+            .solver("tree_l1"),
         );
         id += 1;
 
@@ -44,7 +52,7 @@ fn build_requests(seed: u64, per_shape: usize) -> Vec<LabelRequest> {
         reqs.push(
             LabelRequest::new(
                 id,
-                RequestInstance::UnitInterval(unit),
+                RequestInstance::UnitInterval(unit.clone()),
                 SeparationVector::two(3, 1).unwrap(),
             )
             .solver("unit_interval_l_delta1_delta2"),
@@ -58,34 +66,54 @@ fn build_requests(seed: u64, per_shape: usize) -> Vec<LabelRequest> {
             SeparationVector::two(2, 1).unwrap(),
         ));
         id += 1;
+
+        let shaped = [
+            RequestInstance::Tree(tree),
+            RequestInstance::Interval(unit.as_interval().clone()),
+            RequestInstance::UnitInterval(unit),
+        ];
+        for instance in shaped {
+            for sep in [
+                SeparationVector::all_ones(2),
+                SeparationVector::two(3, 1).unwrap(),
+                SeparationVector::two(4, 2).unwrap(),
+            ] {
+                reqs.push(LabelRequest::new(id, instance.clone(), sep));
+                id += 1;
+            }
+        }
     }
     reqs
 }
 
-/// The sequential reference: one registry, one warm workspace, same
-/// dispatch rules as the engine.
-fn sequential_reference(reqs: &[LabelRequest]) -> Vec<Labeling> {
+/// The sequential reference: one registry, one warm workspace, auto
+/// requests resolved through the registry's route table. `None` = the
+/// request has no auto route.
+fn sequential_reference(reqs: &[LabelRequest]) -> Vec<Option<Labeling>> {
     let registry = SolverRegistry::with_paper_algorithms();
     let mut ws = Workspace::new();
     let m = Metrics::disabled();
     reqs.iter()
-        .map(|req| match (&req.hint, &req.instance) {
-            (SolverHint::Named(name), RequestInstance::Tree(t)) => registry
-                .try_solve(name, &Problem::tree(t, &req.sep), &mut ws, &m)
-                .unwrap(),
-            (SolverHint::Named(name), RequestInstance::Interval(rep)) => registry
-                .try_solve(name, &Problem::interval(rep, &req.sep), &mut ws, &m)
-                .unwrap(),
-            (SolverHint::Named(name), RequestInstance::UnitInterval(rep)) => registry
-                .try_solve(name, &Problem::unit_interval(rep, &req.sep), &mut ws, &m)
-                .unwrap(),
-            (SolverHint::Named(name), RequestInstance::Graph(g)) => registry
-                .try_solve(name, &Problem::graph(g, &req.sep), &mut ws, &m)
-                .unwrap(),
-            (SolverHint::Auto, RequestInstance::Graph(g)) => {
-                registry.auto_coloring(g, &req.sep, &mut ws, &m).labeling
-            }
-            (SolverHint::Auto, _) => unreachable!("parity requests pin non-graph solvers"),
+        .map(|req| {
+            let sep = &req.sep;
+            let (problem, class) = match &req.instance {
+                RequestInstance::Tree(t) => (Problem::tree(t, sep), GraphClass::Tree),
+                RequestInstance::Interval(rep) => {
+                    (Problem::interval(rep, sep), GraphClass::Interval)
+                }
+                RequestInstance::UnitInterval(rep) => {
+                    (Problem::unit_interval(rep, sep), GraphClass::ProperInterval)
+                }
+                RequestInstance::Graph(g) if req.hint == SolverHint::Auto => {
+                    return Some(registry.auto_coloring(g, sep, &mut ws, &m).labeling);
+                }
+                RequestInstance::Graph(g) => (Problem::graph(g, sep), GraphClass::Unknown),
+            };
+            let name = match &req.hint {
+                SolverHint::Named(name) => name.as_str(),
+                SolverHint::Auto => auto_route(class, sep)?,
+            };
+            Some(registry.try_solve(name, &problem, &mut ws, &m).unwrap())
         })
         .collect()
 }
@@ -102,15 +130,25 @@ proptest! {
             let responses = engine.run_batch(requests.clone());
             prop_assert_eq!(responses.len(), expected.len());
             for (response, want) in responses.iter().zip(&expected) {
-                let out = response.result.as_ref().expect("parity solves never fail");
-                prop_assert_eq!(
-                    out.labeling.colors(),
-                    want.colors(),
-                    "workers={} batch_index={} solver={}",
-                    workers,
-                    response.batch_index,
-                    out.algorithm
-                );
+                match (&response.result, want) {
+                    (Ok(out), Some(want)) => prop_assert_eq!(
+                        out.labeling.colors(),
+                        want.colors(),
+                        "workers={} batch_index={} solver={}",
+                        workers,
+                        response.batch_index,
+                        out.algorithm
+                    ),
+                    (Err(SsgError::Spec(_)), None) => {}
+                    (got, want) => prop_assert!(
+                        false,
+                        "workers={} batch_index={}: engine {:?}, reference {:?}",
+                        workers,
+                        response.batch_index,
+                        got.as_ref().map(|o| &o.algorithm),
+                        want.as_ref().map(Labeling::span)
+                    ),
+                }
             }
             engine.shutdown();
         }

@@ -150,8 +150,9 @@ fn solve_static_cell(
     let mut rng = StdRng::seed_from_u64(seed);
     // A named solver gets the instance shape it declares (a graph solver
     // like `greedy_bfs` takes the bare conflict graph; structural solvers
-    // take the class representation). A shape the scenario cannot provide
-    // falls through as a `ClassMismatch` row error from `try_solve`.
+    // take the class representation, and interval solvers take a platoon's
+    // unit-interval one as is). A shape the scenario cannot provide falls
+    // through as a `ClassMismatch` row error from `try_solve`.
     let kind = registry.get(&cell.solver).map(|s| s.instance_kind());
     let mut named = |problem: &Problem| -> Result<Solved, SsgError> {
         let lab = registry.try_solve(&cell.solver, problem, ws, m)?;
@@ -180,9 +181,6 @@ fn solve_static_cell(
             }
             match kind {
                 Some(InstanceKind::Graph) | None => named(&Problem::graph(net.graph(), &sep)),
-                Some(InstanceKind::Interval) => {
-                    named(&Problem::interval(net.representation().as_interval(), &sep))
-                }
                 _ => named(&Problem::unit_interval(net.representation(), &sep)),
             }
         }

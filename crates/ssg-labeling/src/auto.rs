@@ -2,9 +2,10 @@
 //! callers holding a bare [`Graph`] of unknown provenance.
 //!
 //! [`classify`] certifies the input as a tree, a proper interval graph, or a
-//! chordal graph (in that order of preference); [`auto_l1_coloring`] and
-//! [`auto_coloring`] then route to the strongest applicable algorithm from
-//! the paper and report exactly which guarantee the caller obtained.
+//! chordal graph (in that order of preference); [`auto_coloring`] then
+//! routes to the strongest applicable algorithm from the paper (the table is
+//! [`auto_route`](crate::solver::auto_route)) and reports exactly which
+//! guarantee the caller obtained.
 //!
 //! These free functions are transient-workspace wrappers over
 //! [`default_registry`]: repeated callers should hold a
@@ -18,13 +19,18 @@ use crate::workspace::Workspace;
 use ssg_graph::Graph;
 use ssg_telemetry::Metrics;
 
-/// The graph class a bare input was certified as.
+/// The class of an instance: what [`classify`] certified a bare graph as,
+/// or what the structure of a shaped instance (an interval, unit-interval or
+/// tree representation) guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphClass {
     /// Connected and acyclic.
     Tree,
     /// Acyclic but disconnected.
     Forest,
+    /// An interval graph given by its representation. [`classify`] never
+    /// returns it: it recognises only proper interval graphs.
+    Interval,
     /// Proper (= unit) interval graph, certified by an umbrella ordering.
     ProperInterval,
     /// Chordal (certified by a perfect elimination order) but not one of
@@ -72,24 +78,10 @@ pub fn classify(g: &Graph) -> GraphClass {
     default_registry().classify(g)
 }
 
-/// Optimal-or-best-effort `L(1,...,1)` coloring of a bare graph:
-///
-/// * tree → Figure 5 (optimal);
-/// * proper interval → Figure 1 on the recognized representation (optimal);
-/// * chordal, `t = 1` → Lemma-2 peel along the Lex-BFS order (optimal —
-///   `t = 1` removals are always distance-safe);
-/// * otherwise → greedy BFS first-fit (legal, no guarantee).
-pub fn auto_l1_coloring(g: &Graph, t: u32) -> AutoOutput {
-    default_registry().auto_l1_coloring(g, t, &mut Workspace::new(), &Metrics::disabled())
-}
-
-/// Automatic dispatch for a general separation vector:
-///
-/// * all-ones → [`auto_l1_coloring`];
-/// * `(δ1, 1, ..., 1)` on trees / proper interval graphs → the paper's
-///   3-approximations (§4.2 / §3.2);
-/// * `(δ1, δ2)` on proper interval graphs → Theorem 3 (3-approximation);
-/// * anything else → greedy BFS first-fit.
+/// Automatic dispatch on a bare graph: [`classify`] it, then run the solver
+/// [`auto_route`](crate::solver::auto_route) picks for its class under
+/// `sep` (the route table is documented there), or greedy BFS first-fit
+/// (legal, no guarantee) when there is none.
 pub fn auto_coloring(g: &Graph, sep: &SeparationVector) -> AutoOutput {
     default_registry().auto_coloring(g, sep, &mut Workspace::new(), &Metrics::disabled())
 }
@@ -134,7 +126,7 @@ mod tests {
         for _ in 0..5 {
             let g = generators::random_tree(30, &mut rng);
             for t in 1..=3u32 {
-                let out = auto_l1_coloring(&g, t);
+                let out = auto_coloring(&g, &SeparationVector::all_ones(t));
                 assert_eq!(out.class, GraphClass::Tree);
                 assert_eq!(out.guarantee, Guarantee::Optimal);
                 verify_labeling(&g, &SeparationVector::all_ones(t), out.labeling.colors()).unwrap();
@@ -158,7 +150,7 @@ mod tests {
             let src = ssg_intervals::gen::random_connected_unit_intervals(20, 0.6, &mut rng);
             let g = src.to_graph();
             for t in 1..=3u32 {
-                let out = auto_l1_coloring(&g, t);
+                let out = auto_coloring(&g, &SeparationVector::all_ones(t));
                 assert_eq!(out.class, GraphClass::ProperInterval, "t={t}");
                 assert_eq!(out.guarantee, Guarantee::Optimal);
                 verify_labeling(&g, &SeparationVector::all_ones(t), out.labeling.colors()).unwrap();
@@ -172,13 +164,13 @@ mod tests {
     #[test]
     fn auto_l1_on_chordal_at_t1_matches_clique() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]).unwrap();
-        let out = auto_l1_coloring(&g, 1);
+        let out = auto_coloring(&g, &SeparationVector::all_ones(1));
         assert_eq!(out.class, GraphClass::Chordal);
         assert_eq!(out.guarantee, Guarantee::Optimal);
         verify_labeling(&g, &SeparationVector::all_ones(1), out.labeling.colors()).unwrap();
         assert_eq!(out.labeling.span(), 2); // ω = 3
                                             // Same graph, t = 2: falls back to greedy (still legal).
-        let out = auto_l1_coloring(&g, 2);
+        let out = auto_coloring(&g, &SeparationVector::all_ones(2));
         assert_eq!(out.guarantee, Guarantee::Heuristic);
         verify_labeling(&g, &SeparationVector::all_ones(2), out.labeling.colors()).unwrap();
     }
@@ -194,10 +186,15 @@ mod tests {
 
         let src = ssg_intervals::gen::random_connected_unit_intervals(18, 0.6, &mut rng);
         let g = src.to_graph();
-        let sep = SeparationVector::two(4, 2).unwrap();
-        let out = auto_coloring(&g, &sep);
-        assert_eq!(out.algorithm, "unit-l-d1d2 (Theorem 3)");
-        verify_labeling(&g, &sep, out.labeling.colors()).unwrap();
+        // Every L(δ1, δ2) on a unit-interval graph goes to A3, δ2 = 1
+        // included: the engine routes unit-interval requests the same way.
+        for (d1, d2) in [(4, 2), (2, 1), (5, 1)] {
+            let sep = SeparationVector::two(d1, d2).unwrap();
+            let out = auto_coloring(&g, &sep);
+            assert_eq!(out.algorithm, "unit-l-d1d2 (Theorem 3)", "L({d1},{d2})");
+            assert_eq!(out.guarantee, Guarantee::Approximation(3));
+            verify_labeling(&g, &sep, out.labeling.colors()).unwrap();
+        }
 
         let sep = SeparationVector::delta1_then_ones(3, 3).unwrap();
         let out = auto_coloring(&g, &sep);
@@ -214,7 +211,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = Graph::from_edges(0, &[]).unwrap();
-        let out = auto_l1_coloring(&g, 2);
+        let out = auto_coloring(&g, &SeparationVector::all_ones(2));
         assert!(out.labeling.is_empty());
     }
 }

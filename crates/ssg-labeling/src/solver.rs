@@ -11,13 +11,14 @@
 //! ```
 //!
 //! The [`SolverRegistry`] owns the solver set **and** the graph-class
-//! dispatch that used to be duplicated across `auto`, the bench runner, the
-//! CLI, and the netsim sweep: [`SolverRegistry::classify`] certifies the
-//! strongest class, and [`SolverRegistry::auto_l1_coloring`] /
-//! [`SolverRegistry::auto_coloring`] route to the strongest registered
-//! solver, threading one warm workspace through whichever algorithm runs.
-//! [`crate::auto`]'s free functions are thin transient-workspace wrappers
-//! over [`default_registry`].
+//! dispatch: [`SolverRegistry::classify`] certifies the strongest class of
+//! a bare graph, and [`auto_route`] is the one table that picks a solver for
+//! a class and a separation vector. [`SolverRegistry::auto_coloring`] runs
+//! that pick on a bare graph, threading one warm workspace through whichever
+//! algorithm runs; the batch engine consults [`auto_route`] directly for
+//! requests that arrive already shaped as an interval, unit-interval or tree
+//! instance. [`crate::auto`]'s free functions are thin transient-workspace
+//! wrappers over [`default_registry`].
 //!
 //! Solver names double as the bench-report algorithm ids
 //! (`interval_l1`, `tree_approx_delta1`, ...), so a report row can be
@@ -167,7 +168,9 @@ fn wrong_instance(name: &str, wants: &str) -> ! {
 }
 
 /// A1 — `Interval-L(1,...,1)-coloring` (Figure 1, Theorem 1). Optimal.
-/// Accepts [`ProblemInstance::Interval`]; uses `sep.t()`.
+/// Accepts [`ProblemInstance::Interval`] (the registry also hands it a
+/// [`ProblemInstance::UnitInterval`] as its interval representation); uses
+/// `sep.t()`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IntervalL1;
 
@@ -191,8 +194,9 @@ impl Solver for IntervalL1 {
 }
 
 /// A2 — `Interval-L(δ1,1,...,1)-coloring` (§3.2, Theorem 2).
-/// 3-approximation. Accepts [`ProblemInstance::Interval`]; uses `sep.t()`
-/// and `sep.delta(1)`.
+/// 3-approximation. Accepts [`ProblemInstance::Interval`] (and, through the
+/// registry, [`ProblemInstance::UnitInterval`], as A1); uses `sep.t()` and
+/// `sep.delta(1)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IntervalApproxDelta1;
 
@@ -481,9 +485,10 @@ impl SolverRegistry {
     /// structures (the batch engine, the CLI): an unknown name becomes
     /// [`SsgError::UnknownSolver`] and an instance shape the solver does
     /// not accept becomes [`SsgError::ClassMismatch`] — both checked before
-    /// any solving starts. A solver's own internal panics (e.g. A3's
-    /// `t == 2` assertion) are *not* caught here; the engine isolates those
-    /// with `catch_unwind`.
+    /// any solving starts. An interval solver accepts a unit-interval
+    /// instance (it is solved as its interval representation). A solver's
+    /// own internal panics (e.g. A3's `t == 2` assertion) are *not* caught
+    /// here; the engine isolates those with `catch_unwind`.
     pub fn try_solve(
         &self,
         name: &str,
@@ -497,11 +502,13 @@ impl SolverRegistry {
             known: self.names().iter().map(|s| s.to_string()).collect(),
         })?;
         let wants = solver.instance_kind();
-        let got = problem.instance.kind();
-        if wants != got {
+        if reshape(problem, wants).is_none() {
             return Err(SsgError::ClassMismatch {
                 expected: wants.name(),
-                found: format!("{} instance (solver `{name}`)", got.name()),
+                found: format!(
+                    "{} instance (solver `{name}`)",
+                    problem.instance.kind().name()
+                ),
             });
         }
         Ok(dispatch(solver, problem, ws, m))
@@ -531,75 +538,10 @@ impl SolverRegistry {
         GraphClass::Unknown
     }
 
-    /// Optimal-or-best-effort `L(1,...,1)` coloring of a bare graph,
-    /// routed through the registered solvers (see
-    /// [`crate::auto::auto_l1_coloring`] for the routing table).
-    pub fn auto_l1_coloring(
-        &self,
-        g: &Graph,
-        t: u32,
-        ws: &mut Workspace,
-        m: &Metrics,
-    ) -> AutoOutput {
-        assert!(t >= 1);
-        if g.num_vertices() == 0 {
-            return AutoOutput {
-                labeling: Labeling::new(Vec::new()),
-                class: GraphClass::Unknown,
-                algorithm: "empty",
-                guarantee: Guarantee::Optimal,
-            };
-        }
-        let sep = SeparationVector::all_ones(t);
-        match self.classify(g) {
-            GraphClass::Tree => {
-                let tree = RootedTree::bfs_canonical(g, 0).expect("certified tree");
-                let lab = self.solve("tree_l1", &Problem::tree(&tree, &sep), ws, m);
-                let mapped = tree::to_original_ids(&tree, &lab);
-                ws.recycle(lab);
-                AutoOutput {
-                    labeling: mapped,
-                    class: GraphClass::Tree,
-                    algorithm: "tree-l1 (Figure 5)",
-                    guarantee: Guarantee::Optimal,
-                }
-            }
-            GraphClass::Forest => AutoOutput {
-                labeling: self.solve("forest_l1", &Problem::graph(g, &sep), ws, m),
-                class: GraphClass::Forest,
-                algorithm: "tree-l1 per component (Figure 5)",
-                guarantee: Guarantee::Optimal,
-            },
-            GraphClass::ProperInterval => {
-                let (order, rep) = recognize_unit_interval(g).expect("certified proper interval");
-                let lab = self.solve("interval_l1", &Problem::interval(rep.as_interval(), &sep), ws, m);
-                let mapped = map_back(g, &order, &lab, rep.as_interval());
-                ws.recycle(lab);
-                AutoOutput {
-                    labeling: mapped,
-                    class: GraphClass::ProperInterval,
-                    algorithm: "interval-l1 (Figure 1)",
-                    guarantee: Guarantee::Optimal,
-                }
-            }
-            GraphClass::Chordal if t == 1 => AutoOutput {
-                labeling: self.solve("lemma2_peel", &Problem::graph(g, &sep), ws, m),
-                class: GraphClass::Chordal,
-                algorithm: "chordal-peel (Lemma 2)",
-                guarantee: Guarantee::Optimal,
-            },
-            class @ (GraphClass::Chordal | GraphClass::Unknown) => AutoOutput {
-                labeling: self.solve("greedy_bfs", &Problem::graph(g, &sep), ws, m),
-                class,
-                algorithm: "greedy-bfs",
-                guarantee: Guarantee::Heuristic,
-            },
-        }
-    }
-
-    /// Automatic dispatch for a general separation vector, routed through
-    /// the registered solvers (see [`crate::auto::auto_coloring`] for the
-    /// routing table).
+    /// Automatic dispatch on a bare graph: [`classify`](Self::classify) it,
+    /// run the solver [`auto_route`] picks for its class on the class's
+    /// representation, and map the labeling back to `g`'s own vertex ids.
+    /// A class with no route under `sep` falls back to greedy BFS.
     pub fn auto_coloring(
         &self,
         g: &Graph,
@@ -607,66 +549,105 @@ impl SolverRegistry {
         ws: &mut Workspace,
         m: &Metrics,
     ) -> AutoOutput {
-        if sep.is_all_ones() {
-            return self.auto_l1_coloring(g, sep.t(), ws, m);
-        }
-        let t = sep.t();
-        let tail_ones = (2..=t).all(|i| sep.delta(i) == 1);
         let class = self.classify(g);
-        match (class, tail_ones, t) {
-            (GraphClass::Tree, true, _) => {
+        let route = auto_route(class, sep);
+        let solver = route.unwrap_or("greedy_bfs");
+        let labeling = match class {
+            GraphClass::Tree if route.is_some() => {
                 let tree = RootedTree::bfs_canonical(g, 0).expect("certified tree");
-                let lab = self.solve("tree_approx_delta1", &Problem::tree(&tree, sep), ws, m);
+                let lab = self.solve(solver, &Problem::tree(&tree, sep), ws, m);
                 let mapped = tree::to_original_ids(&tree, &lab);
                 ws.recycle(lab);
-                AutoOutput {
-                    labeling: mapped,
-                    class,
-                    algorithm: "tree-approx-d1 (Theorem 5)",
-                    guarantee: Guarantee::Approximation(3),
-                }
+                mapped
             }
-            (GraphClass::ProperInterval, true, _) => {
-                let (order, rep) = recognize_unit_interval(g).expect("certified");
-                let lab = self.solve(
-                    "interval_approx_delta1",
-                    &Problem::interval(rep.as_interval(), sep),
-                    ws,
-                    m,
-                );
+            GraphClass::ProperInterval if route.is_some() => {
+                let (order, rep) = recognize_unit_interval(g).expect("certified proper interval");
+                let lab = self.solve(solver, &Problem::unit_interval(&rep, sep), ws, m);
                 let mapped = map_back(g, &order, &lab, rep.as_interval());
                 ws.recycle(lab);
-                AutoOutput {
-                    labeling: mapped,
-                    class,
-                    algorithm: "interval-approx-d1 (Theorem 2)",
-                    guarantee: Guarantee::Approximation(3),
-                }
+                mapped
             }
-            (GraphClass::ProperInterval, false, 2) => {
-                let (order, rep) = recognize_unit_interval(g).expect("certified");
-                let lab = self.solve(
-                    "unit_interval_l_delta1_delta2",
-                    &Problem::unit_interval(&rep, sep),
-                    ws,
-                    m,
-                );
-                let mapped = map_back(g, &order, &lab, rep.as_interval());
-                ws.recycle(lab);
-                AutoOutput {
-                    labeling: mapped,
-                    class,
-                    algorithm: "unit-l-d1d2 (Theorem 3)",
-                    guarantee: Guarantee::Approximation(3),
-                }
-            }
-            _ => AutoOutput {
-                labeling: self.solve("greedy_bfs", &Problem::graph(g, sep), ws, m),
-                class,
-                algorithm: "greedy-bfs",
-                guarantee: Guarantee::Heuristic,
-            },
+            _ => self.solve(solver, &Problem::graph(g, sep), ws, m),
+        };
+        let (algorithm, guarantee) = describe(solver);
+        AutoOutput {
+            labeling,
+            class,
+            algorithm,
+            guarantee,
         }
+    }
+}
+
+/// The solver automatic dispatch runs on an instance of class `class`
+/// under `sep`, or `None` when no paper algorithm covers the pair. This is
+/// the one route table: [`SolverRegistry::auto_coloring`] consults it after
+/// [`classify`](SolverRegistry::classify), and the batch engine consults it
+/// for requests that arrive already shaped. What a caller does without a
+/// route is its own policy.
+///
+/// | class | all-ones | `(δ1,1,…,1)` | other |
+/// |---|---|---|---|
+/// | tree | `tree_l1` (A4) | `tree_approx_delta1` (A5) | — |
+/// | forest | `forest_l1` | — | — |
+/// | interval | `interval_l1` (A1) | `interval_approx_delta1` (A2) | — |
+/// | proper interval, `t = 2` | `interval_l1` (A1) | `unit_interval_l_delta1_delta2` (A3) | A3 |
+/// | proper interval, `t ≠ 2` | `interval_l1` (A1) | `interval_approx_delta1` (A2) | — |
+/// | chordal, `t = 1` | `lemma2_peel` | — | — |
+///
+/// ```
+/// use ssg_labeling::auto::GraphClass;
+/// use ssg_labeling::solver::auto_route;
+/// use ssg_labeling::SeparationVector;
+/// let l21 = SeparationVector::two(2, 1).unwrap();
+/// assert_eq!(auto_route(GraphClass::ProperInterval, &l21), Some("unit_interval_l_delta1_delta2"));
+/// assert_eq!(auto_route(GraphClass::Interval, &l21), Some("interval_approx_delta1"));
+/// assert_eq!(auto_route(GraphClass::Unknown, &l21), None);
+/// ```
+pub fn auto_route(class: GraphClass, sep: &SeparationVector) -> Option<&'static str> {
+    let ones = sep.is_all_ones();
+    let tail_ones = (2..=sep.t()).all(|i| sep.delta(i) == 1);
+    Some(match class {
+        GraphClass::Tree if ones => "tree_l1",
+        GraphClass::Tree if tail_ones => "tree_approx_delta1",
+        GraphClass::Forest if ones => "forest_l1",
+        GraphClass::Interval | GraphClass::ProperInterval if ones => "interval_l1",
+        GraphClass::ProperInterval if sep.t() == 2 => "unit_interval_l_delta1_delta2",
+        GraphClass::Interval | GraphClass::ProperInterval if tail_ones => "interval_approx_delta1",
+        GraphClass::Chordal if ones && sep.t() == 1 => "lemma2_peel",
+        _ => return None,
+    })
+}
+
+/// What [`AutoOutput`] reports for `solver`: a short description of the
+/// algorithm and the guarantee it carries on the classes [`auto_route`]
+/// sends to it.
+fn describe(solver: &str) -> (&'static str, Guarantee) {
+    match solver {
+        "tree_l1" => ("tree-l1 (Figure 5)", Guarantee::Optimal),
+        "forest_l1" => ("tree-l1 per component (Figure 5)", Guarantee::Optimal),
+        "interval_l1" => ("interval-l1 (Figure 1)", Guarantee::Optimal),
+        "lemma2_peel" => ("chordal-peel (Lemma 2)", Guarantee::Optimal),
+        "tree_approx_delta1" => ("tree-approx-d1 (Theorem 5)", Guarantee::Approximation(3)),
+        "interval_approx_delta1" => (
+            "interval-approx-d1 (Theorem 2)",
+            Guarantee::Approximation(3),
+        ),
+        "unit_interval_l_delta1_delta2" => ("unit-l-d1d2 (Theorem 3)", Guarantee::Approximation(3)),
+        _ => ("greedy-bfs", Guarantee::Heuristic),
+    }
+}
+
+/// `problem` presented as the shape `wants`, or `None` when it cannot be.
+/// A unit-interval representation is an interval representation, so an
+/// interval solver takes it via `as_interval()`.
+fn reshape<'a>(problem: &Problem<'a>, wants: InstanceKind) -> Option<Problem<'a>> {
+    match (wants, problem.instance) {
+        (InstanceKind::Interval, ProblemInstance::UnitInterval(rep)) => {
+            Some(Problem::interval(rep.as_interval(), problem.sep))
+        }
+        (wants, instance) if wants == instance.kind() => Some(*problem),
+        _ => None,
     }
 }
 
@@ -675,7 +656,10 @@ impl SolverRegistry {
 /// the per-solver latency histogram.
 fn dispatch(solver: &dyn Solver, problem: &Problem, ws: &mut Workspace, m: &Metrics) -> Labeling {
     let _span = m.span_hist(solver.name(), Hist::SolverSolve);
-    solver.solve_with(problem, ws, m)
+    // A shape that cannot be reshaped goes through unchanged, so the
+    // solver's own mismatch panic names it.
+    let problem = reshape(problem, solver.instance_kind()).unwrap_or(*problem);
+    solver.solve_with(&problem, ws, m)
 }
 
 /// The process-wide registry of paper algorithms, built once on first use.
@@ -753,6 +737,12 @@ mod tests {
             &Metrics::disabled(),
         );
         assert_eq!(lab, interval::l1_coloring(src.as_interval(), 2).labeling);
+        // An interval solver takes a unit-interval problem as its interval
+        // representation, through `solve` and `try_solve` alike.
+        let unit = Problem::unit_interval(&src, &sep);
+        let m = Metrics::disabled();
+        assert_eq!(r.solve("interval_l1", &unit, &mut ws, &m), lab);
+        assert_eq!(r.try_solve("interval_l1", &unit, &mut ws, &m).unwrap(), lab);
 
         let sep2 = SeparationVector::two(4, 2).unwrap();
         let lab = r.solve(
@@ -776,8 +766,9 @@ mod tests {
             generators::complete(5),
         ] {
             for t in 1..=2u32 {
-                let a = crate::auto::auto_l1_coloring(&g, t);
-                let b = r.auto_l1_coloring(&g, t, &mut ws, &m);
+                let sep = SeparationVector::all_ones(t);
+                let a = crate::auto::auto_coloring(&g, &sep);
+                let b = r.auto_coloring(&g, &sep, &mut ws, &m);
                 assert_eq!(a.labeling, b.labeling);
                 assert_eq!(a.class, b.class);
                 assert_eq!(a.algorithm, b.algorithm);

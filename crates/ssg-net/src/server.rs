@@ -162,11 +162,6 @@ impl Server {
         self.shared.engine.stats()
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active_conns.load(Ordering::Relaxed)
-    }
-
     /// Whether a peer has asked the server to stop via the `SHUTDOWN`
     /// verb. The owner (the CLI run loop) polls this and calls
     /// [`Server::shutdown`].

@@ -19,6 +19,12 @@ sh -n scripts/ab.sh
 echo "==> cargo build --release"
 cargo build --release --offline
 
+echo "==> examples (cargo test builds them but never runs them)"
+# `report` is left out: it runs for minutes.
+for example in quickstart highway backbone auto_dispatch; do
+    cargo run -q --release --offline --example "$example" > /dev/null
+done
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace --offline
 

@@ -209,6 +209,49 @@ fn batch_routes_request_files_through_the_engine() {
     assert!(json.contains("\"completed\": 3"), "{json}");
 }
 
+/// The `span=` field of the first line of `text` that has one.
+fn span_field(text: &str) -> &str {
+    text.split_whitespace()
+        .find_map(|w| w.strip_prefix("span="))
+        .unwrap_or_else(|| panic!("no span= in {text}"))
+}
+
+#[test]
+fn color_and_batch_route_a_platoon_alike() {
+    // `ssg color` classifies the bare graph, `ssg batch` serves the
+    // unit-interval representation: both must reach the same solver.
+    let dir = std::env::temp_dir().join("ssg-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = ssg()
+        .args(["gen", "platoon", "200", "4", "7"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let graph = dir.join("platoon200.g");
+    std::fs::write(&graph, &out.stdout).unwrap();
+    let reqs = dir.join("platoon200.reqs");
+    std::fs::write(&reqs, "platoon 200 7 5,1\n").unwrap();
+
+    let out = ssg()
+        .args(["color", graph.to_str().unwrap(), "5,1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let color = String::from_utf8(out.stdout).unwrap();
+    assert!(color.contains("unit-l-d1d2 (Theorem 3)"), "{color}");
+    let out = ssg()
+        .args(["batch", reqs.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let batch = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        batch.contains("algorithm=\"unit_interval_l_delta1_delta2\""),
+        "{batch}"
+    );
+    assert_eq!(span_field(&color), span_field(&batch), "{color}\n{batch}");
+}
+
 #[test]
 fn batch_maps_per_request_errors_to_exit_codes() {
     let dir = std::env::temp_dir().join("ssg-cli-test");
