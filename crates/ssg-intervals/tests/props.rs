@@ -27,6 +27,38 @@ fn arb_tied_intervals() -> impl Strategy<Value = Vec<(f64, f64)>> {
     )
 }
 
+/// Up to 300 intervals around stations listed in position order, as a
+/// corridor generates them, then left in order, nearly in order (random
+/// adjacent swaps) or reversed. With `tied` every value lies on the integer
+/// grid and gaps of zero are common, so endpoints tie often.
+fn arb_listed_intervals() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    let stations = prop::collection::vec((0u32..3, 1u32..9, 0.0f64..1.0), 0..300);
+    let swaps = prop::collection::vec(0usize..1 << 16, 0..40);
+    (stations, any::<bool>(), 0u8..3, swaps).prop_map(|(stations, tied, listing, swaps)| {
+        let mut x = 0.0f64;
+        let mut intervals: Vec<(f64, f64)> = stations
+            .into_iter()
+            .map(|(gap, range, jitter)| {
+                let (gap, range) = (f64::from(gap), f64::from(range));
+                x += if tied { gap } else { gap + jitter };
+                let r = if tied { range } else { range * (0.5 + jitter) };
+                (x - r, x + r)
+            })
+            .collect();
+        match listing {
+            0 => {}
+            1 if intervals.len() > 1 => {
+                for i in swaps {
+                    let i = i % (intervals.len() - 1);
+                    intervals.swap(i, i + 1);
+                }
+            }
+            _ => intervals.reverse(),
+        }
+        intervals
+    })
+}
+
 /// One normalized representation as plain vectors: `left`, `right` and
 /// `original` per vertex, plus the sweep events.
 type Parts = (Vec<u32>, Vec<u32>, Vec<usize>, Vec<Endpoint>);
@@ -177,6 +209,12 @@ proptest! {
 
     #[test]
     fn tied_floats_normalize_like_the_reference(intervals in arb_tied_intervals()) {
+        let rep = IntervalRepresentation::from_floats(&intervals).unwrap();
+        prop_assert_eq!(parts_of(&rep), reference_parts(&intervals));
+    }
+
+    #[test]
+    fn listed_stations_normalize_like_the_reference(intervals in arb_listed_intervals()) {
         let rep = IntervalRepresentation::from_floats(&intervals).unwrap();
         prop_assert_eq!(parts_of(&rep), reference_parts(&intervals));
     }

@@ -15,7 +15,7 @@
 //! keeps only the largest color and the probe tallies.
 
 use crate::spec::{theorem_bound, Labeling};
-use crate::workspace::{ensure_dep, ensure_u32, Workspace};
+use crate::workspace::{ensure_u32, Workspace};
 use ssg_graph::Vertex;
 use ssg_intervals::{Endpoint, IntervalRepresentation};
 use ssg_telemetry::{Counter, Metrics};
@@ -72,14 +72,14 @@ pub fn l1_coloring_ws(
     let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
         palette: palettes,
-        dep,
-        drained,
+        deps,
         grow_events,
         ..
     } = ws;
-    palettes.reset(t, 0);
-    // L_v: colors currently "depending on" interval v.
-    ensure_dep(dep, n, grow_events);
+    palettes.reset(0);
+    // L_v: colors currently "depending on" interval v. A component grows at
+    // most one color per vertex, so colors stay below n.
+    deps.reset(n, n, grow_events);
     let mut lambda_star = 0u32;
     let mut max_r = 0u32;
     let mut deep: Vertex = 0;
@@ -90,14 +90,14 @@ pub fn l1_coloring_ws(
                 if open == 0 && v > 0 {
                     palettes.restart(0); // a gap: the next component starts afresh
                 }
-                if palettes.is_empty(0) {
+                if palettes.is_empty() {
                     // The new color's id is this component's λ so far.
                     lambda_star = lambda_star.max(palettes.grow());
                 }
-                let c = palettes.pop(0).expect("P_0 was just refilled");
+                let c = palettes.pop().expect("P_0 was just refilled");
                 colors[v as usize] = c;
-                palettes.link(t, c);
-                dep[v as usize].push(c);
+                palettes.set_level(c, t);
+                deps.push(v, c);
                 if rep.right(v) > max_r {
                     max_r = rep.right(v);
                     deep = v;
@@ -106,21 +106,16 @@ pub fn l1_coloring_ws(
             }
             Endpoint::Right(v) => {
                 open -= 1;
-                drained.clear();
-                drained.append(&mut dep[v as usize]);
-                for &c in drained.iter() {
-                    let j = palettes.level_of(c);
-                    debug_assert!(j >= 1, "colors in L lists sit in P_1..P_t");
-                    palettes.move_to(c, j - 1);
-                    if j > 1 {
-                        if deep != v {
-                            dep[deep as usize].push(c);
-                        } else {
-                            // deep == v only when v closes its component:
-                            // the color will not be needed again there, so
-                            // dropping the dependency is safe.
-                            debug_assert_eq!(open, 0);
-                        }
+                while let Some(c) = deps.pop_front(v) {
+                    if palettes.descend(c) == 0 {
+                        palettes.link(c);
+                    } else if deep != v {
+                        deps.push(deep, c);
+                    } else {
+                        // deep == v only when v closes its component: the
+                        // color will not be needed again there, so dropping
+                        // the dependency is safe.
+                        debug_assert_eq!(open, 0);
                     }
                 }
             }
@@ -291,16 +286,15 @@ pub fn approx_delta1_coloring_ws(
     let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
         palette: palettes,
-        dep,
-        drained,
+        deps,
         block,
         grow_events,
         ..
     } = ws;
-    palettes.reset(t, pool);
+    palettes.reset(pool);
     // block[c] = number of open intervals whose color is within delta1-1 of c.
     ensure_u32(block, pool, 0, grow_events);
-    ensure_dep(dep, n, grow_events);
+    deps.reset(n, pool, grow_events);
     let mut max_r = 0u32;
     let mut deep: Vertex = 0;
     let mut open = 0usize;
@@ -321,18 +315,15 @@ pub fn approx_delta1_coloring_ws(
                 // P_0 holds exactly the unblocked level-0 colors; Theorem 2
                 // guarantees it is non-empty here.
                 let c = palettes
-                    .pop(0)
+                    .pop()
                     .expect("Theorem 2: pool {0..=U} cannot be exhausted");
                 colors[v as usize] = c;
-                palettes.link(t, c);
-                dep[v as usize].push(c);
+                palettes.set_level(c, t);
+                deps.push(v, c);
                 if delta1 > 1 {
                     for w in window(c) {
                         block[w as usize] += 1;
-                        if block[w as usize] == 1
-                            && palettes.level_of(w) == 0
-                            && palettes.is_linked(w)
-                        {
+                        if block[w as usize] == 1 && palettes.is_linked(w) {
                             palettes.unlink(w); // park until unblocked
                         }
                     }
@@ -345,24 +336,16 @@ pub fn approx_delta1_coloring_ws(
             }
             Endpoint::Right(v) => {
                 open -= 1;
-                drained.clear();
-                drained.append(&mut dep[v as usize]);
-                for &c in drained.iter() {
-                    let j = palettes.level_of(c);
-                    debug_assert!(j >= 1);
-                    palettes.unlink(c);
-                    if j - 1 == 0 && block[c as usize] > 0 {
-                        palettes.set_parked_level(c, 0); // blocked: park at 0
-                    } else {
-                        palettes.link(j - 1, c);
-                    }
-                    if j > 1 {
+                while let Some(c) = deps.pop_front(v) {
+                    if palettes.descend(c) > 0 {
                         if deep != v {
-                            dep[deep as usize].push(c);
+                            deps.push(deep, c);
                         } else {
                             debug_assert_eq!(open, 0);
                         }
-                    }
+                    } else if block[c as usize] == 0 {
+                        palettes.link(c);
+                    } // else blocked: parked at level 0
                 }
                 if delta1 > 1 {
                     let c = colors[v as usize];
@@ -372,7 +355,7 @@ pub fn approx_delta1_coloring_ws(
                             && palettes.level_of(w) == 0
                             && !palettes.is_linked(w)
                         {
-                            palettes.link(0, w); // unparked: usable again
+                            palettes.link(w); // unparked: usable again
                         }
                     }
                 }
@@ -533,10 +516,12 @@ mod tests {
         for round in 0..3 {
             let grows = ws.grow_events();
             let footprint = ws.capacity_footprint();
-            let a1 = l1_coloring_ws(&rep, 2, &mut ws, &m);
-            ws.recycle(a1.labeling);
-            let a2 = approx_delta1_coloring_ws(&rep, 2, 3, &mut ws, &m);
-            ws.recycle(a2.labeling);
+            for t in 1..=3 {
+                let a1 = l1_coloring_ws(&rep, t, &mut ws, &m);
+                ws.recycle(a1.labeling);
+                let a2 = approx_delta1_coloring_ws(&rep, t, 3, &mut ws, &m);
+                ws.recycle(a2.labeling);
+            }
             if round > 0 {
                 assert_eq!(ws.grow_events(), grows, "round {round}: a buffer grew");
                 assert_eq!(ws.capacity_footprint(), footprint, "round {round}");

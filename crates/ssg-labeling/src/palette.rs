@@ -1,95 +1,94 @@
 //! The palette family `P_0, ..., P_t` of the paper's interval and tree
-//! algorithms (Figure 1, §3.2 and Figure 5), implemented exactly as
-//! Theorem 1's complexity proof prescribes: doubly linked lists threaded
-//! through a color-indexed table `C[c]`, so that insertion, extraction of
-//! a *given* color, and extraction of *some* color are all `O(1)`.
+//! algorithms (Figure 1, §3.2 and Figure 5), and the dependency lists `L_v`
+//! of the interval sweeps.
+//!
+//! The algorithms only ever *extract* a color from `P_0`, so `P_0` is the
+//! one list: doubly linked through a color-indexed table `C[c]`, so that
+//! insertion, extraction of a *given* color and extraction of *some* color
+//! are all `O(1)`. A color in `P_1..P_t` is just its level in the same
+//! table: Figure 1 moves it down one palette by a decrement, and a color
+//! that reaches level 0 is linked into `P_0`.
 //!
 //! The family keeps two deterministic work tallies:
 //!
 //! * [`probe_count`](PaletteFamily::probe_count) — palette entries
 //!   *examined* by `pop`/`pop_where` (the paper-facing probe counter).
-//! * [`word_scan_count`](PaletteFamily::word_scan_count) — list-table
-//!   words read or written per operation (pointer splices, level and
-//!   length bookkeeping), the per-probe *work* behind the
-//!   `palette_word_scans` counter.
+//! * [`word_scan_count`](PaletteFamily::word_scan_count) — table words read
+//!   or written per operation (pointer splices, level and head
+//!   bookkeeping), the per-probe *work* behind the `palette_word_scans`
+//!   counter.
 
-/// Sentinel for "no color" in the intrusive lists (also used by callers as
-/// a "no parent color" marker).
+use crate::workspace::ensure_u32;
+use ssg_graph::Vertex;
+
+/// Sentinel for "no color" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// A family of `t + 1` palettes over colors `0..pool_size`, with O(1)
-/// insert / remove / pop and per-color level tracking.
+/// A family of palettes over colors `0..pool_size`: `P_0` as an intrusive
+/// list with O(1) insert / remove / pop, and a level per color.
 ///
-/// A color is always *assigned a level* once introduced, but may be
-/// temporarily **parked** (tracked at its level yet not linked into the
-/// list) — the §3.2 approximation uses this for colors blocked by the
-/// `δ1`-separation of an open interval.
+/// A color at level 0 is either linked into `P_0` or **parked** (at level 0
+/// yet not linked) — the §3.2 approximation parks colors blocked by the
+/// `δ1`-separation of an open interval, and the tree sweeps park the colors
+/// they have taken out.
 #[derive(Debug, Clone)]
 pub struct PaletteFamily {
     next: Vec<u32>,
     prev: Vec<u32>,
     level: Vec<u32>,
     linked: Vec<bool>,
-    head: Vec<u32>,
-    len: Vec<usize>,
+    head: u32,
     probes: u64,
     word_scans: u64,
 }
 
 impl Default for PaletteFamily {
-    /// The cold state of a workspace arena: `P_0` alone, empty pool.
-    /// Solvers reinitialize with [`reset`](Self::reset) before use.
+    /// The cold state of a workspace arena: an empty pool. Solvers
+    /// reinitialize with [`reset`](Self::reset) before use.
     fn default() -> Self {
-        Self::new(0, 0)
-    }
-}
-
-impl PaletteFamily {
-    /// Creates palettes `P_0..P_t` with an initial pool of `pool` colors
-    /// (`0..pool`), all linked into `P_0`.
-    pub fn new(t: u32, pool: usize) -> Self {
-        let mut f = PaletteFamily {
+        PaletteFamily {
             next: Vec::new(),
             prev: Vec::new(),
             level: Vec::new(),
             linked: Vec::new(),
-            head: Vec::new(),
-            len: Vec::new(),
+            head: NIL,
             probes: 0,
             word_scans: 0,
-        };
-        f.reset(t, pool);
+        }
+    }
+}
+
+impl PaletteFamily {
+    /// Creates the family with an initial pool of `pool` colors (`0..pool`),
+    /// all linked into `P_0`.
+    pub fn new(pool: usize) -> Self {
+        let mut f = PaletteFamily::default();
+        f.reset(pool);
         f
     }
 
     /// Reinitializes the family to exactly the state [`new`](Self::new)
-    /// would produce — `t + 1` empty palettes, a fresh pool of `pool`
-    /// colors linked into `P_0` in the same LIFO order, and zeroed
-    /// probe/word tallies — while keeping every previously grown buffer's
-    /// capacity. This is what lets a warm
+    /// would produce — a fresh pool of `pool` colors linked into `P_0` in the
+    /// same LIFO order, and zeroed probe/word tallies — while keeping every
+    /// previously grown buffer's capacity. This is what lets a warm
     /// [`Workspace`](crate::workspace::Workspace) rerun an algorithm
     /// without heap allocation.
-    pub fn reset(&mut self, t: u32, pool: usize) {
-        self.head.clear();
-        self.head.resize(t as usize + 1, NIL);
-        self.len.clear();
-        self.len.resize(t as usize + 1, 0);
+    pub fn reset(&mut self, pool: usize) {
         self.probes = 0;
         self.word_scans = 0;
         self.restart(pool);
     }
 
-    /// [`reset`](Self::reset) to the same number of palettes, keeping the
-    /// probe and word tallies: the palettes a sweep restarts from when it
-    /// crosses a gap between connected components, so that one solve's
-    /// tallies sum over its components.
+    /// [`reset`](Self::reset), keeping the probe and word tallies: the
+    /// palettes a sweep restarts from when it crosses a gap between
+    /// connected components, so that one solve's tallies sum over its
+    /// components.
     pub fn restart(&mut self, pool: usize) {
         self.next.clear();
         self.prev.clear();
         self.level.clear();
         self.linked.clear();
-        self.head.fill(NIL);
-        self.len.fill(0);
+        self.head = NIL;
         for _ in 0..pool {
             self.grow();
         }
@@ -99,17 +98,7 @@ impl PaletteFamily {
     /// buffers. Used by the workspace allocation tally: equal footprints
     /// across repeated same-sized solves certify that no buffer regrew.
     pub fn capacity_footprint(&self) -> usize {
-        self.next.capacity()
-            + self.prev.capacity()
-            + self.level.capacity()
-            + self.linked.capacity()
-            + self.head.capacity()
-            + self.len.capacity()
-    }
-
-    /// Number of palettes (`t + 1`).
-    pub fn num_levels(&self) -> usize {
-        self.head.len()
+        self.next.capacity() + self.prev.capacity() + self.level.capacity() + self.linked.capacity()
     }
 
     /// Total colors ever introduced.
@@ -126,7 +115,7 @@ impl PaletteFamily {
         self.level.push(0);
         self.linked.push(false);
         self.word_scans += 4;
-        self.link(0, c);
+        self.link(c);
         c
     }
 
@@ -136,84 +125,79 @@ impl PaletteFamily {
         self.level[c as usize]
     }
 
-    /// Whether `c` is linked into its palette's list (not parked).
+    /// Whether `c` is linked into `P_0` (at level 0 and not parked).
     #[inline]
     pub fn is_linked(&self, c: u32) -> bool {
         self.linked[c as usize]
     }
 
-    /// Number of linked colors in palette `j`.
+    /// Whether `P_0` has no linked colors.
     #[inline]
-    pub fn len(&self, j: u32) -> usize {
-        self.len[j as usize]
+    pub fn is_empty(&self) -> bool {
+        self.head == NIL
     }
 
-    /// Whether palette `j` has no linked colors.
-    #[inline]
-    pub fn is_empty(&self, j: u32) -> bool {
-        self.len[j as usize] == 0
-    }
-
-    /// Links `c` into palette `j` (front insertion) and records its level.
-    /// `c` must not currently be linked.
-    pub fn link(&mut self, j: u32, c: u32) {
+    /// Links `c` into `P_0` (front insertion). `c` must be at level 0 and
+    /// not linked.
+    pub fn link(&mut self, c: u32) {
         debug_assert!(!self.linked[c as usize], "color {c} already linked");
-        let h = self.head[j as usize];
-        // Word tally: next[c], prev[c], head read+write, level, linked,
-        // len, plus the old head's prev backlink when the list was
-        // non-empty.
-        self.word_scans += 7 + (h != NIL) as u64;
+        debug_assert_eq!(self.level[c as usize], 0, "only P_0 is a list");
+        let h = self.head;
+        // Word tally: next[c], prev[c], head read+write, linked, plus the
+        // old head's prev backlink when the list was non-empty.
+        self.word_scans += 5 + (h != NIL) as u64;
         self.next[c as usize] = h;
         self.prev[c as usize] = NIL;
         if h != NIL {
             self.prev[h as usize] = c;
         }
-        self.head[j as usize] = c;
-        self.level[c as usize] = j;
+        self.head = c;
         self.linked[c as usize] = true;
-        self.len[j as usize] += 1;
     }
 
-    /// Unlinks `c` from its palette list, keeping its level. The color is
-    /// then *parked*.
+    /// Unlinks `c` from `P_0`. The color is then *parked* at level 0.
     pub fn unlink(&mut self, c: u32) {
         debug_assert!(self.linked[c as usize], "color {c} not linked");
         let (p, n) = (self.prev[c as usize], self.next[c as usize]);
-        // Word tally: prev[c], next[c], level read, predecessor-or-head
-        // splice, linked, len, plus the successor's prev backlink when
-        // one exists.
-        self.word_scans += 6 + (n != NIL) as u64;
+        // Word tally: prev[c], next[c], predecessor-or-head splice, linked,
+        // plus the successor's prev backlink when one exists.
+        self.word_scans += 4 + (n != NIL) as u64;
         if p != NIL {
             self.next[p as usize] = n;
         } else {
-            self.head[self.level[c as usize] as usize] = n;
+            self.head = n;
         }
         if n != NIL {
             self.prev[n as usize] = p;
         }
         self.linked[c as usize] = false;
-        self.len[self.level[c as usize] as usize] -= 1;
     }
 
-    /// Moves a linked color to palette `j` (unlink + link).
-    pub fn move_to(&mut self, c: u32, j: u32) {
-        self.unlink(c);
-        self.link(j, c);
-    }
-
-    /// Sets the level of a *parked* color without linking it.
-    pub fn set_parked_level(&mut self, c: u32, j: u32) {
-        debug_assert!(!self.linked[c as usize]);
+    /// Puts an unlinked color at level `j`: where Figure 1 inserts the color
+    /// it just assigned into `P_t`.
+    pub fn set_level(&mut self, c: u32, j: u32) {
+        debug_assert!(!self.linked[c as usize], "color {c} is linked");
         self.word_scans += 1;
         self.level[c as usize] = j;
     }
 
-    /// Pops some color from palette `j` (the most recently inserted), or
-    /// `None` when the palette is empty.
-    pub fn pop(&mut self, j: u32) -> Option<u32> {
+    /// Moves a color of `P_1..P_t` down one palette and returns its new
+    /// level. A color that reaches level 0 is parked until the caller links
+    /// it.
+    pub fn descend(&mut self, c: u32) -> u32 {
+        let j = self.level[c as usize];
+        debug_assert!(j >= 1, "color {c} is already at level 0");
+        self.word_scans += 1;
+        self.level[c as usize] = j - 1;
+        j - 1
+    }
+
+    /// Pops some color from `P_0` (the most recently inserted), or `None`
+    /// when `P_0` is empty.
+    pub fn pop(&mut self) -> Option<u32> {
         self.probes += 1;
         self.word_scans += 1;
-        let h = self.head[j as usize];
+        let h = self.head;
         if h == NIL {
             return None;
         }
@@ -221,12 +205,12 @@ impl PaletteFamily {
         Some(h)
     }
 
-    /// Pops the first linked color of palette `j` satisfying `pred`,
-    /// scanning front to back. Used by the §4.2 tree approximation, whose
-    /// predicate rejects at most `2(δ1-1)` colors — O(δ1) there. The
-    /// predicate may carry mutable state.
-    pub fn pop_where(&mut self, j: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mut c = self.head[j as usize];
+    /// Pops the first linked color of `P_0` satisfying `pred`, scanning front
+    /// to back. Used by the §4.2 tree approximation, whose predicate rejects
+    /// at most `2(δ1-1)` colors — O(δ1) there. The predicate may carry
+    /// mutable state.
+    pub fn pop_where(&mut self, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut c = self.head;
         while c != NIL {
             self.probes += 1;
             self.word_scans += 1;
@@ -246,23 +230,72 @@ impl PaletteFamily {
         self.probes
     }
 
-    /// List-table words read or written by palette operations since
-    /// creation or the last [`reset`](Self::reset) — the deterministic
-    /// work tally behind the `palette_word_scans` counter.
+    /// Table words read or written by palette operations since creation or
+    /// the last [`reset`](Self::reset) — the deterministic work tally behind
+    /// the `palette_word_scans` counter.
     pub fn word_scan_count(&self) -> u64 {
         self.word_scans
     }
 
-    /// The linked colors of palette `j`, front to back (test helper;
-    /// O(len); allocates).
-    pub fn collect(&self, j: u32) -> Vec<u32> {
+    /// The linked colors of `P_0`, front to back (test helper; O(len);
+    /// allocates).
+    pub fn collect(&self) -> Vec<u32> {
         let mut out = Vec::new();
-        let mut c = self.head[j as usize];
+        let mut c = self.head;
         while c != NIL {
             out.push(c);
             c = self.next[c as usize];
         }
         out
+    }
+}
+
+/// The dependency lists `L_v` of Figure 1 and §3.2: the colors waiting for
+/// interval `v` to close before they move down a palette. Each list is an
+/// intrusive FIFO: vertex-indexed heads and tails, and one color-indexed
+/// successor link, which suffices because a color sits in at most one list
+/// at a time.
+#[derive(Debug, Default)]
+pub(crate) struct DepLists {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl DepLists {
+    /// Empties the lists of vertices `0..n`, for colors `0..colors`.
+    pub(crate) fn reset(&mut self, n: usize, colors: usize, grows: &mut u64) {
+        ensure_u32(&mut self.head, n, NIL, grows);
+        ensure_u32(&mut self.tail, n, NIL, grows);
+        ensure_u32(&mut self.next, colors, NIL, grows);
+    }
+
+    /// Appends color `c` to `L_v`.
+    #[inline]
+    pub(crate) fn push(&mut self, v: Vertex, c: u32) {
+        self.next[c as usize] = NIL;
+        if self.head[v as usize] == NIL {
+            self.head[v as usize] = c;
+        } else {
+            self.next[self.tail[v as usize] as usize] = c;
+        }
+        self.tail[v as usize] = c;
+    }
+
+    /// Removes and returns the first color of `L_v`.
+    #[inline]
+    pub(crate) fn pop_front(&mut self, v: Vertex) -> Option<u32> {
+        let c = self.head[v as usize];
+        if c == NIL {
+            return None;
+        }
+        self.head[v as usize] = self.next[c as usize];
+        Some(c)
+    }
+
+    /// Sum of the buffer capacities, in elements.
+    pub(crate) fn capacity_footprint(&self) -> usize {
+        self.head.capacity() + self.tail.capacity() + self.next.capacity()
     }
 }
 
@@ -272,73 +305,72 @@ mod tests {
 
     #[test]
     fn grow_links_into_p0() {
-        let mut f = PaletteFamily::new(2, 3);
+        let mut f = PaletteFamily::new(3);
         assert_eq!(f.pool_size(), 3);
-        assert_eq!(f.num_levels(), 3);
-        assert_eq!(f.len(0), 3);
-        assert!(f.is_empty(1));
+        assert_eq!(f.collect(), vec![2, 1, 0]);
         let c = f.grow();
         assert_eq!(c, 3);
-        assert_eq!(f.len(0), 4);
+        assert_eq!(f.collect(), vec![3, 2, 1, 0]);
     }
 
     #[test]
     fn pop_is_lifo_and_empties() {
-        let mut f = PaletteFamily::new(1, 2);
-        let a = f.pop(0).unwrap();
-        let b = f.pop(0).unwrap();
+        let mut f = PaletteFamily::new(2);
+        let a = f.pop().unwrap();
+        let b = f.pop().unwrap();
         assert_eq!((a, b), (1, 0));
-        assert_eq!(f.pop(0), None);
-        assert!(f.is_empty(0));
+        assert_eq!(f.pop(), None);
+        assert!(f.is_empty());
     }
 
     #[test]
-    fn move_between_levels() {
-        let mut f = PaletteFamily::new(3, 1);
-        f.move_to(0, 3);
-        assert_eq!(f.level_of(0), 3);
-        assert!(f.is_empty(0));
-        assert_eq!(f.collect(3), vec![0]);
-        f.move_to(0, 2);
-        f.move_to(0, 1);
-        f.move_to(0, 0);
-        assert_eq!(f.collect(0), vec![0]);
+    fn descend_to_level_zero_then_link() {
+        let mut f = PaletteFamily::new(1);
+        let c = f.pop().unwrap();
+        f.set_level(c, 3);
+        assert_eq!(f.level_of(c), 3);
+        assert!(f.is_empty());
+        assert_eq!(f.descend(c), 2);
+        assert_eq!(f.descend(c), 1);
+        assert_eq!(f.descend(c), 0);
+        assert!(!f.is_linked(c), "a color reaching level 0 stays parked");
+        f.link(c);
+        assert_eq!(f.collect(), vec![0]);
     }
 
     #[test]
     fn unlink_from_middle_keeps_order_consistent() {
-        let mut f = PaletteFamily::new(0, 5);
+        let mut f = PaletteFamily::new(5);
         // Recency order (front to back): [4, 3, 2, 1, 0].
         f.unlink(2);
-        assert_eq!(f.collect(0), vec![4, 3, 1, 0]);
+        assert_eq!(f.collect(), vec![4, 3, 1, 0]);
         assert!(!f.is_linked(2));
         assert_eq!(f.level_of(2), 0);
         f.unlink(4); // front removal
-        assert_eq!(f.collect(0), vec![3, 1, 0]);
+        assert_eq!(f.collect(), vec![3, 1, 0]);
         f.unlink(0); // back removal
-        assert_eq!(f.collect(0), vec![3, 1]);
-        f.link(0, 2);
-        assert_eq!(f.collect(0), vec![2, 3, 1]);
-        assert_eq!(f.len(0), 3);
+        assert_eq!(f.collect(), vec![3, 1]);
+        f.link(2);
+        assert_eq!(f.collect(), vec![2, 3, 1]);
     }
 
     #[test]
     fn pop_where_skips_rejected_colors() {
-        let mut f = PaletteFamily::new(0, 6);
+        let mut f = PaletteFamily::new(6);
         // Front to back: [5, 4, 3, 2, 1, 0]; reject anything >= 3.
-        assert_eq!(f.pop_where(0, |c| c < 3), Some(2));
-        assert_eq!(f.len(0), 5);
-        // Nothing matches: level untouched.
-        assert_eq!(f.pop_where(0, |c| c > 100), None);
-        assert_eq!(f.len(0), 5);
+        assert_eq!(f.pop_where(|c| c < 3), Some(2));
+        assert_eq!(f.collect().len(), 5);
+        // Nothing matches: P_0 untouched.
+        assert_eq!(f.pop_where(|c| c > 100), None);
+        assert_eq!(f.collect().len(), 5);
     }
 
     #[test]
     fn pop_where_predicate_may_be_stateful() {
-        let mut f = PaletteFamily::new(0, 4);
+        let mut f = PaletteFamily::new(4);
         // FnMut scratch: accept the third candidate examined.
         let mut examined = 0u32;
-        let got = f.pop_where(0, |_| {
+        let got = f.pop_where(|_| {
             examined += 1;
             examined == 3
         });
@@ -348,75 +380,101 @@ mod tests {
 
     #[test]
     fn probe_count_tracks_pops_and_scans() {
-        let mut f = PaletteFamily::new(0, 6);
+        let mut f = PaletteFamily::new(6);
         assert_eq!(f.probe_count(), 0);
-        f.pop(0); // 1 probe
+        f.pop(); // 1 probe
         assert_eq!(f.probe_count(), 1);
-        // Level is now [4, 3, 2, 1, 0]; scanning for c < 3 examines 4, 3, 2.
-        f.pop_where(0, |c| c < 3);
+        // P_0 is now [4, 3, 2, 1, 0]; scanning for c < 3 examines 4, 3, 2.
+        f.pop_where(|c| c < 3);
         assert_eq!(f.probe_count(), 4);
-        f.pop_where(0, |c| c > 100); // exhaustive scan of [4, 3, 1, 0]
+        f.pop_where(|c| c > 100); // exhaustive scan of [4, 3, 1, 0]
         assert_eq!(f.probe_count(), 8);
     }
 
     #[test]
     fn word_scans_accumulate_and_reset() {
-        let mut f = PaletteFamily::new(1, 4);
+        let mut f = PaletteFamily::new(4);
         let fill = f.word_scan_count();
-        // Four grows: 4 table pushes + 7 link words + 1 backlink each,
+        // Four grows: 4 table pushes + 5 link words + 1 backlink each,
         // except the first link into an empty list.
-        assert_eq!(fill, 4 * 12 - 1);
-        f.pop(0);
-        f.pop_where(0, |c| c == 0);
+        assert_eq!(fill, 4 * 10 - 1);
+        f.pop();
+        f.pop_where(|c| c == 0);
         assert!(f.word_scan_count() > fill);
-        f.reset(1, 4);
+        f.reset(4);
         assert_eq!(f.word_scan_count(), fill, "reset tallies differ");
     }
 
     #[test]
     fn reset_matches_fresh_family() {
-        let mut f = PaletteFamily::new(2, 3);
-        f.pop(0);
-        f.move_to(0, 2);
+        let mut f = PaletteFamily::new(3);
+        let c = f.pop().unwrap();
+        f.set_level(c, 2);
         f.grow();
-        f.reset(1, 2);
-        let fresh = PaletteFamily::new(1, 2);
-        assert_eq!(f.num_levels(), fresh.num_levels());
+        f.reset(2);
+        let fresh = PaletteFamily::new(2);
         assert_eq!(f.pool_size(), fresh.pool_size());
-        assert_eq!(f.collect(0), fresh.collect(0));
+        assert_eq!(f.collect(), fresh.collect());
+        assert_eq!(f.level_of(0), 0);
         assert_eq!(f.probe_count(), 0);
         assert_eq!(f.word_scan_count(), fresh.word_scan_count());
         // Same LIFO pop order as a fresh family.
-        assert_eq!(f.pop(0), Some(1));
-        assert_eq!(f.pop(0), Some(0));
-        assert_eq!(f.pop(0), None);
+        assert_eq!(f.pop(), Some(1));
+        assert_eq!(f.pop(), Some(0));
+        assert_eq!(f.pop(), None);
     }
 
     #[test]
     fn restart_matches_reset_but_keeps_tallies() {
-        let mut f = PaletteFamily::new(2, 3);
-        f.pop(0);
-        f.move_to(0, 2);
+        let mut f = PaletteFamily::new(3);
+        let c = f.pop().unwrap();
+        f.set_level(c, 2);
         f.grow();
         let (probes, scans) = (f.probe_count(), f.word_scan_count());
         f.restart(2);
-        let fresh = PaletteFamily::new(2, 2);
-        assert_eq!(f.num_levels(), fresh.num_levels());
+        let fresh = PaletteFamily::new(2);
         assert_eq!(f.pool_size(), fresh.pool_size());
-        assert_eq!(f.collect(0), fresh.collect(0));
-        assert!(f.is_empty(1) && f.is_empty(2));
+        assert_eq!(f.collect(), fresh.collect());
+        assert!((0..2).all(|c| f.level_of(c) == 0));
         assert_eq!(f.probe_count(), probes);
         assert_eq!(f.word_scan_count(), scans + fresh.word_scan_count());
     }
 
     #[test]
-    fn parked_levels_track_without_linking() {
-        let mut f = PaletteFamily::new(2, 1);
+    fn parked_colors_keep_level_zero_until_linked() {
+        let mut f = PaletteFamily::new(2);
         f.unlink(0);
-        f.set_parked_level(0, 2);
-        assert_eq!(f.level_of(0), 2);
-        assert!(f.is_empty(2));
-        f.link(2, 0);
-        assert_eq!(f.len(2), 1);
+        assert_eq!(f.level_of(0), 0);
+        assert!(!f.is_linked(0));
+        assert_eq!(f.collect(), vec![1]);
+        f.link(0);
+        assert_eq!(f.collect(), vec![0, 1]);
+    }
+
+    #[test]
+    fn dep_lists_are_fifo_and_move_colors_between_lists() {
+        let mut deps = DepLists::default();
+        let mut grows = 0;
+        deps.reset(3, 4, &mut grows);
+        assert_eq!(deps.pop_front(0), None);
+        for c in [2, 0, 3] {
+            deps.push(0, c);
+        }
+        deps.push(1, 1);
+        // Drain L_0 into L_1 as a closing interval hands its colors on.
+        while let Some(c) = deps.pop_front(0) {
+            deps.push(1, c);
+        }
+        let mut drained = Vec::new();
+        while let Some(c) = deps.pop_front(1) {
+            drained.push(c);
+        }
+        assert_eq!(drained, vec![1, 2, 0, 3]);
+        assert_eq!(deps.pop_front(2), None);
+        // A warm reset to the same shape does not grow a buffer.
+        let footprint = deps.capacity_footprint();
+        deps.reset(3, 4, &mut grows);
+        assert_eq!(grows, 3);
+        assert_eq!(deps.capacity_footprint(), footprint);
     }
 }

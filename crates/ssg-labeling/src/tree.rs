@@ -137,7 +137,7 @@ fn color_tree(
         level_log,
         ..
     } = ws;
-    pal.reset(0, bound as usize + 1);
+    pal.reset(bound as usize + 1);
     // Colors that left the palette during the current level; re-linked at
     // the next level's start (amortized per-level reset).
     level_log.clear();
@@ -149,9 +149,9 @@ fn color_tree(
     // most 2δ1-1 list entries succeeds — O(δ1).
     let extract = |pal: &mut PaletteFamily, log: &mut Vec<u32>, parent_color: u32| -> u32 {
         let c = if delta1 == 1 || parent_color == u32::MAX {
-            pal.pop(0)
+            pal.pop()
         } else {
-            pal.pop_where(0, |c| c.abs_diff(parent_color) >= delta1)
+            pal.pop_where(|c| c.abs_diff(parent_color) >= delta1)
         }
         .expect("Theorems 4/5: the palette cannot run dry");
         log.push(c);
@@ -178,7 +178,7 @@ fn color_tree(
         // previous level returns.
         for c in level_log.drain(..) {
             if !pal.is_linked(c) {
-                pal.link(0, c);
+                pal.link(c);
             }
         }
         let range = tree.level_range(ell);
@@ -274,7 +274,7 @@ fn remove_neighborhood_colors(
 fn restore_color(colors: &[u32], u: Vertex, pal: &mut PaletteFamily) {
     let c = colors[u as usize];
     if c != u32::MAX && !pal.is_linked(c) {
-        pal.link(0, c);
+        pal.link(c);
     }
 }
 

@@ -1,12 +1,12 @@
 //! Reusable scratch arenas for the labeling algorithms.
 //!
 //! Every A1–A5 call allocates the same shapes of scratch state: a color
-//! output buffer, per-vertex dependency lists, a
-//! [`PaletteFamily`], BFS
-//! distance arrays, level logs. On a production workload of heavy repeated
-//! traffic (the ROADMAP north-star) those allocations dominate the cheap
-//! `O(nt)` sweeps, so this module hoists all of them into a [`Workspace`]
-//! arena that solvers borrow from:
+//! output buffer, a [`PaletteFamily`], the interval sweeps' dependency
+//! lists, BFS distance arrays, level logs. Each is a flat buffer, so a solve
+//! touches a few contiguous arrays whatever its size. On a production
+//! workload of heavy repeated traffic (the ROADMAP north-star) those
+//! allocations dominate the cheap `O(nt)` sweeps, so this module hoists
+//! all of them into a [`Workspace`] arena that solvers borrow from:
 //!
 //! * **One-shot callers** keep the plain entry points
 //!   (`l1_coloring(...)` etc.), which call the `*_ws` form on a transient
@@ -44,7 +44,7 @@
 //!   vendored rayon exposes no worker identity, and the checkout cost is
 //!   trivial next to a solve).
 
-use crate::palette::PaletteFamily;
+use crate::palette::{DepLists, PaletteFamily};
 use crate::spec::Labeling;
 use ssg_graph::scratch::BfsScratch;
 use ssg_graph::Vertex;
@@ -59,10 +59,8 @@ use std::sync::Mutex;
 pub struct Workspace {
     /// Palette family reused across solves via [`PaletteFamily::reset`].
     pub(crate) palette: PaletteFamily,
-    /// Per-vertex dependency lists (`L_v` of Figure 1 / §3.2).
-    pub(crate) dep: Vec<Vec<u32>>,
-    /// Drain buffer for one vertex's dependency list.
-    pub(crate) drained: Vec<u32>,
+    /// Dependency lists `L_v` of Figure 1 / §3.2.
+    pub(crate) deps: DepLists,
     /// Per-color block counters of the §3.2 approximation.
     pub(crate) block: Vec<u32>,
     /// Rank-indexed scratch of the interval `λ*_{G,t}` count: furthest
@@ -124,9 +122,7 @@ impl Workspace {
     /// repeated solves certify that no buffer was dropped and reallocated.
     pub fn capacity_footprint(&self) -> usize {
         self.palette.capacity_footprint()
-            + self.dep.capacity()
-            + self.dep.iter().map(Vec::capacity).sum::<usize>()
-            + self.drained.capacity()
+            + self.deps.capacity_footprint()
             + self.block.capacity()
             + self.ranks.capacity()
             + self.level_log.capacity()
@@ -186,20 +182,6 @@ pub(crate) fn ensure_bool(buf: &mut Vec<bool>, n: usize, grows: &mut u64) {
     }
     buf.clear();
     buf.resize(n, false);
-}
-
-/// Clears the first `n` dependency lists in place (inner capacities are the
-/// point of the arena) and extends the outer vector if it is short.
-pub(crate) fn ensure_dep(dep: &mut Vec<Vec<u32>>, n: usize, grows: &mut u64) {
-    for list in dep.iter_mut().take(n) {
-        list.clear();
-    }
-    if dep.len() < n {
-        if dep.capacity() < n {
-            *grows += 1;
-        }
-        dep.resize_with(n, Vec::new);
-    }
 }
 
 /// A checkout/checkin pool of warm [`Workspace`]s for parallel sweeps.

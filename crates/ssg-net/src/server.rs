@@ -338,10 +338,11 @@ pub(crate) fn serve_label(spec: &crate::protocol::LabelSpec, shared: &Shared) ->
     match result {
         // Echo the trace id only when the request propagated one: old
         // clients parse every post-span token as a color.
-        Ok(outcome) => format!(
-            "{}\n",
-            render_ok(&outcome, spec.trace.map(|(trace_id, _)| trace_id))
-        ),
+        Ok(outcome) => {
+            let mut line = render_ok(&outcome, spec.trace.map(|(trace_id, _)| trace_id));
+            line.push('\n');
+            line
+        }
         Err(err) => {
             shared.metrics.add(Counter::NetProtocolErrors, 1);
             format!("{}\n", render_err(&err))

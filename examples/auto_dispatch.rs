@@ -53,9 +53,10 @@ fn main() {
                 Guarantee::Approximation(f) => format!("{f}-approx"),
                 Guarantee::Heuristic => "heuristic".to_string(),
             };
+            // The derived `Debug` ignores a width, so pad its rendering.
             println!(
-                "  {name:<34} -> {:<14?} {:<34} span {:>3}  [{guarantee}]",
-                out.class,
+                "  {name:<34} -> {:<14} {:<34} span {:>3}  [{guarantee}]",
+                format!("{:?}", out.class),
                 out.algorithm,
                 out.labeling.span()
             );

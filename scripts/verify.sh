@@ -31,8 +31,8 @@ cargo test -q --workspace --offline
 echo "==> cargo test --release -p ssg-engine"
 cargo test -q --release -p ssg-engine --offline
 
-echo "==> cargo test --release -p ssg-labeling -p ssg-net (release arithmetic wraps where debug panics)"
-cargo test -q --release -p ssg-labeling -p ssg-net --offline
+echo "==> cargo test --release -p ssg-intervals -p ssg-labeling -p ssg-net (release arithmetic wraps where debug panics)"
+cargo test -q --release -p ssg-intervals -p ssg-labeling -p ssg-net --offline
 
 echo "==> benchmark harness tests (builds against ../crates, must leave benchmark/ untouched)"
 # The harness is its own package with its own Cargo.lock: an API break in
