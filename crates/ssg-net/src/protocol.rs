@@ -27,7 +27,7 @@ use ssg_engine::{LabelOutcome, LabelRequest, RequestInstance};
 use ssg_error::SsgError;
 use ssg_labeling::SeparationVector;
 use ssg_netsim::{BackboneNetwork, CorridorNetwork, VehicularNetwork};
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// Protocol name + major version, reported in docs and the HTTP reply
 /// schema. Incompatible grammar changes bump the `/1`.
@@ -349,29 +349,37 @@ pub enum Response {
     Bye,
 }
 
-/// Renders the success line for a solved request (no trailing newline).
-/// `trace` must be the request's propagated trace id (echoed as a final
-/// `trace=<hex64>` token) or `None` for untraced requests — echoing
-/// unconditionally would break old clients, which parse every post-span
-/// token as a color.
-pub fn render_ok(outcome: &LabelOutcome, trace: Option<u64>) -> String {
+/// Appends the success line for a solved request (no trailing newline) to
+/// `out`: the server renders each reply straight into its connection's
+/// output buffer. `trace` must be the request's propagated trace id
+/// (echoed as a final `trace=<hex64>` token) or `None` for untraced
+/// requests — echoing unconditionally would break old clients, which parse
+/// every post-span token as a color.
+pub fn push_ok(out: &mut Vec<u8>, outcome: &LabelOutcome, trace: Option<u64>) {
     let colors = outcome.labeling.colors();
-    let mut line = String::with_capacity(8 + colors.len() * 4);
-    line.push_str("OK ");
-    push_decimal(&mut line, outcome.labeling.span());
+    out.reserve(8 + colors.len() * 4);
+    out.extend_from_slice(b"OK ");
+    push_decimal(out, outcome.labeling.span());
     for &c in colors {
-        line.push(' ');
-        push_decimal(&mut line, c);
+        out.push(b' ');
+        push_decimal(out, c);
     }
     if let Some(trace_id) = trace {
-        line.push_str(&format!(" trace={trace_id:016x}"));
+        write!(out, " trace={trace_id:016x}").expect("writing to a Vec cannot fail");
     }
-    line
 }
 
-/// Appends the decimal digits of `x` to `line`: what `x.to_string()` gives,
+/// Renders the success line for a solved request (no trailing newline):
+/// [`push_ok`] into a fresh `String`.
+pub fn render_ok(outcome: &LabelOutcome, trace: Option<u64>) -> String {
+    let mut line = Vec::new();
+    push_ok(&mut line, outcome, trace);
+    String::from_utf8(line).expect("OK lines are ASCII")
+}
+
+/// Appends the decimal digits of `x` to `out`: what `x.to_string()` gives,
 /// without allocating a `String` per number.
-fn push_decimal(line: &mut String, mut x: u32) {
+fn push_decimal(out: &mut Vec<u8>, mut x: u32) {
     let mut digits = [0u8; 10];
     let mut start = digits.len();
     loop {
@@ -382,7 +390,7 @@ fn push_decimal(line: &mut String, mut x: u32) {
             break;
         }
     }
-    line.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Renders the failure line for an error (no trailing newline). The
@@ -530,6 +538,13 @@ impl<R: Read> LineReader<R> {
     /// the peer sends; the fuzz tests assert this.
     pub fn buffered_bytes(&self) -> usize {
         self.line.len() + (self.pending.len() - self.cursor)
+    }
+
+    /// Whether a complete line (or the end of a discarded overlong one) is
+    /// already buffered, so that the next [`LineReader::next_line`] returns
+    /// without reading from the underlying stream.
+    pub fn has_buffered_line(&self) -> bool {
+        self.pending[self.cursor..].contains(&b'\n')
     }
 
     /// Reads until one of the [`LineEvent`]s occurs. `Err` is returned only

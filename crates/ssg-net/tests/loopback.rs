@@ -489,3 +489,169 @@ fn max_conns_refuses_excess_connections() {
     }
     server.shutdown();
 }
+
+/// The labels of an `OK` reply, or a panic naming the reply.
+fn ok_labels(reply: &str) -> Vec<u32> {
+    match parse_response(reply) {
+        Ok(Response::Ok { colors, .. }) => colors,
+        other => panic!("expected OK, got {other:?}"),
+    }
+}
+
+/// The code of an `ERR` reply, or a panic naming the reply.
+fn err_code(reply: &str) -> String {
+    match parse_response(reply) {
+        Ok(Response::Err { code, .. }) => code,
+        other => panic!("expected ERR, got {other:?}"),
+    }
+}
+
+#[test]
+fn pipelined_replies_keep_request_order_when_workers_finish_out_of_order() {
+    // Two workers: the small second request finishes long before the
+    // large first one, and its reply must wait its turn.
+    let cfg = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let (mut reader, mut writer) = connect(&server);
+    writer
+        .write_all(
+            b"LABEL corridor 65536 1 2,1\n\
+              LABEL corridor 10 2 1,1\n\
+              PING\n\
+              LABEL mesh 1 1 1\n\
+              LABEL platoon 30 1 3,1 deadline_ms=0\n\
+              QUIT\n",
+        )
+        .unwrap();
+    assert_eq!(ok_labels(&read_line(&mut reader)).len(), 65536);
+    assert_eq!(ok_labels(&read_line(&mut reader)).len(), 10);
+    assert_eq!(read_line(&mut reader), "PONG");
+    assert_eq!(err_code(&read_line(&mut reader)), "parse");
+    assert_eq!(err_code(&read_line(&mut reader)), "deadline_exceeded");
+    assert_eq!(read_line(&mut reader), "BYE");
+    server.shutdown();
+}
+
+#[test]
+fn a_connection_keeps_at_most_two_requests_in_the_engine() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (mut reader, mut writer) = connect(&server);
+    let backlog: String = (0..64)
+        .map(|k| format!("LABEL corridor 4000 {k} 2,1\n"))
+        .collect();
+    writer.write_all(backlog.as_bytes()).unwrap();
+
+    // Read nothing for a while: the connection may still only hold two
+    // requests in the engine, whatever the peer has sent.
+    let until = std::time::Instant::now() + Duration::from_millis(300);
+    let mut most = 0;
+    while std::time::Instant::now() < until {
+        most = most.max(server.stats().in_flight);
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert!(most <= 2, "{most} requests of one connection in the engine");
+
+    for k in 0..64 {
+        let reply = read_line(&mut reader);
+        assert_eq!(ok_labels(&reply).len(), 4000, "reply {k}");
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 64);
+}
+
+#[test]
+fn a_peer_vanishing_mid_pipeline_leaves_the_server_serving() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    {
+        let (_reader, mut writer) = connect(&server);
+        let backlog: String = (0..50)
+            .map(|k| format!("LABEL corridor 4000 {k} 2,1\n"))
+            .collect();
+        writer.write_all(backlog.as_bytes()).unwrap();
+        // Both halves close here, with every reply unread.
+    }
+
+    let (mut reader, mut writer) = connect(&server);
+    writer
+        .write_all(b"PING\nLABEL corridor 40 7 2,1\nQUIT\n")
+        .unwrap();
+    assert_eq!(read_line(&mut reader), "PONG");
+    assert_eq!(ok_labels(&read_line(&mut reader)).len(), 40);
+    assert_eq!(read_line(&mut reader), "BYE");
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, stats.submitted, "{stats:?}");
+    assert_eq!(stats.in_flight, 0, "{stats:?}");
+}
+
+#[test]
+fn drain_abandons_a_peer_that_stopped_reading() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (_reader, mut writer) = connect(&server);
+    // About 200 KB per reply: far more than the socket buffers of both
+    // ends hold, so the server ends up blocked writing to this peer.
+    let sent = 200;
+    let backlog: String = (0..sent)
+        .map(|k| format!("LABEL corridor 65536 {k} 2,1\n"))
+        .collect();
+    writer.write_all(backlog.as_bytes()).unwrap();
+
+    // Wait until the server stops making progress on this connection.
+    let mut last = server.stats();
+    let mut quiet_since = std::time::Instant::now();
+    while quiet_since.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = server.stats();
+        if now.completed != last.completed || now.in_flight != 0 {
+            quiet_since = std::time::Instant::now();
+        }
+        last = now;
+    }
+    assert!(
+        last.completed < sent,
+        "the socket buffers never filled: {last:?}"
+    );
+
+    let drainer = std::thread::spawn(move || server.shutdown());
+    let started = std::time::Instant::now();
+    while !drainer.is_finished() {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the drain waited on a peer that does not read"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = drainer.join().unwrap();
+    assert_eq!(stats.in_flight, 0, "{stats:?}");
+}
+
+#[test]
+fn pipelined_requests_keep_their_serve_telemetry() {
+    use ssg_telemetry::{Counter, Phase};
+    let cfg = ServerConfig {
+        metrics: Metrics::enabled(),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let (mut reader, mut writer) = connect(&server);
+    let mut pipeline: String = (0..5)
+        .map(|k| format!("LABEL corridor 200 {k} 2,1\n"))
+        .collect();
+    pipeline.push_str("LABEL mesh 1 1 1\n");
+    writer.write_all(pipeline.as_bytes()).unwrap();
+    for _ in 0..5 {
+        assert_eq!(ok_labels(&read_line(&mut reader)).len(), 200);
+    }
+    assert_eq!(err_code(&read_line(&mut reader)), "parse");
+
+    // Every reply is recorded before it is written.
+    let snap = server.metrics().snapshot();
+    assert_eq!(snap.phase_count(Phase::Serve), 5);
+    assert_eq!(snap.counter(Counter::NetProtocolErrors), 1);
+    let text = ssg_net::prometheus_text(server.metrics());
+    assert!(text.contains("ssg_net_requests_total 5\n"), "{text}");
+    server.shutdown();
+}

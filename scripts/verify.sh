@@ -34,6 +34,15 @@ cargo test -q --release -p ssg-engine --offline
 echo "==> cargo test --release -p ssg-intervals -p ssg-labeling -p ssg-net (release arithmetic wraps where debug panics)"
 cargo test -q --release -p ssg-intervals -p ssg-labeling -p ssg-net --offline
 
+echo "==> loopback suite 5 more times (release): the pipelined connection loop has timing-dependent paths"
+# Early engine replies waiting their turn, the drain, and the write
+# timeout that abandons a peer which stopped reading all depend on thread
+# timing; one lucky run proves little.
+for run in 1 2 3 4 5; do
+    echo "    loopback run $run/5"
+    cargo test -q --release -p ssg-net --offline --test loopback
+done
+
 echo "==> benchmark harness tests (builds against ../crates, must leave benchmark/ untouched)"
 # The harness is its own package with its own Cargo.lock: an API break in
 # the crates, or a dependency change that rewrites that lockfile, must
