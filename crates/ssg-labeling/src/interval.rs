@@ -148,18 +148,19 @@ pub fn l1_coloring_ws(
 /// assert_eq!(lambda_star(&rep, 2), l1_coloring(&rep, 2).lambda_star);
 /// ```
 pub fn lambda_star(rep: &IntervalRepresentation, t: u32) -> u32 {
-    count_lambda_star(rep, t, &mut Workspace::new())
+    count_lambda_star(rep, t, &mut Workspace::new()).0
 }
 
-/// [`lambda_star`] on the workspace's rank buffers.
+/// [`lambda_star`] on the workspace's rank buffers, returned with
+/// `λ*_{G,1} = ω(G) - 1`, which the reach pass counts on the way.
 ///
 /// Let `R⁰(u) = right(u)`, and let `Rⁱ(u)` be the largest right endpoint
 /// among the intervals that open before `Rⁱ⁻¹(u)`. Vertices `u < v` are
 /// within distance `t` iff `left(v) < R^{t-1}(u)`, so the prefix ball of
 /// `v` is the set of ranges `[left(u), R^{t-1}(u))` open at `left(v)`. One
-/// pass records the prefix maxima `reach`, and one sweep opens each range
-/// at its left endpoint and closes it at its reach.
-fn count_lambda_star(rep: &IntervalRepresentation, t: u32, ws: &mut Workspace) -> u32 {
+/// pass records the prefix maxima `reach` and the widest clique, and one
+/// sweep opens each range at its left endpoint and closes it at its reach.
+fn count_lambda_star(rep: &IntervalRepresentation, t: u32, ws: &mut Workspace) -> (u32, u32) {
     assert!(t >= 1, "interference radius t must be >= 1");
     let events = rep.events();
     // Both halves are indexed by rank 1..=2n; event k has rank k + 1.
@@ -172,34 +173,43 @@ fn count_lambda_star(rep: &IntervalRepresentation, t: u32, ws: &mut Workspace) -
     ensure_u32(buf, 2 * ranks, 0, grow_events);
     let (reach, closes) = buf.split_at_mut(ranks);
     // reach[k]: the largest right endpoint among intervals opening before k.
+    // Both passes are branch-free in the endpoint kind: a right endpoint's
+    // interval opened earlier, so it never raises `max_r`, and no range
+    // closes at a left endpoint, so `closes` is zero there.
     let mut max_r = 0;
+    let (mut open, mut clique) = (0u32, 0u32);
     for (k, &ev) in events.iter().enumerate() {
         reach[k + 1] = max_r;
-        if let Endpoint::Left(v) = ev {
-            max_r = max_r.max(rep.right(v));
-        }
+        let (v, left) = split(ev);
+        max_r = max_r.max(rep.right(v));
+        open = open + 2 * u32::from(left) - 1;
+        clique = clique.max(open);
     }
-    let mut open = 0u32;
     let mut widest = 0u32;
     for (k, &ev) in events.iter().enumerate() {
-        match ev {
-            Endpoint::Left(u) => {
-                open += 1;
-                widest = widest.max(open);
-                let mut r = rep.right(u);
-                for _ in 1..t {
-                    let next = reach[r as usize];
-                    if next == r {
-                        break; // no interval reaches further
-                    }
-                    r = next;
-                }
-                closes[r as usize] += 1;
+        let (u, left) = split(ev);
+        open = open + u32::from(left) - closes[k + 1];
+        widest = widest.max(open);
+        let mut r = rep.right(u);
+        for _ in 1..t {
+            let next = reach[r as usize];
+            if next == r {
+                break; // no interval reaches further
             }
-            Endpoint::Right(_) => open -= closes[k + 1],
+            r = next;
         }
+        closes[r as usize] += u32::from(left);
     }
-    widest.saturating_sub(1)
+    (widest.saturating_sub(1), clique.saturating_sub(1))
+}
+
+/// An endpoint's vertex, and whether it is a left endpoint.
+#[inline]
+fn split(ev: Endpoint) -> (Vertex, bool) {
+    match ev {
+        Endpoint::Left(v) => (v, true),
+        Endpoint::Right(v) => (v, false),
+    }
 }
 
 /// The profile `[λ*_{G,1}, λ*_{G,2}, ..., λ*_{G,t_max}]` of optimal
@@ -217,7 +227,7 @@ fn count_lambda_star(rep: &IntervalRepresentation, t: u32, ws: &mut Workspace) -
 pub fn lambda_profile(rep: &IntervalRepresentation, t_max: u32) -> Vec<u32> {
     let mut ws = Workspace::new();
     (1..=t_max)
-        .map(|t| count_lambda_star(rep, t, &mut ws))
+        .map(|t| count_lambda_star(rep, t, &mut ws).0)
         .collect()
 }
 
@@ -228,7 +238,7 @@ pub struct IntervalApproxOutput {
     pub labeling: Labeling,
     /// `λ*_{G,t}`, counted by [`lambda_star`].
     pub lambda_t: u32,
-    /// `λ*_{G,1} = ω(G) - 1`.
+    /// `λ*_{G,1} = ω(G) - 1`, counted in the same pass.
     pub lambda_1: u32,
     /// Theorem 2's guaranteed largest color
     /// `U = λ*_{G,t} + 2(δ1-1) λ*_{G,1}`.
@@ -237,18 +247,25 @@ pub struct IntervalApproxOutput {
 
 /// `Interval-L(δ1,1,...,1)-coloring` (§3.2, Theorem 2).
 ///
-/// Counts `λ*_{G,t}` (see [`lambda_star`]) and reads `λ*_{G,1} = ω(G) - 1`
-/// off the representation, then repeats the Figure 1 sweep with `P_0`
-/// pre-filled with `{0, ..., λ*_{G,t} + 2(δ1-1)λ*_{G,1}}`. When a color `c`
-/// is assigned, the `2(δ1-1)` colors nearest to `c` are *blocked* until the
-/// interval closes.
-/// A per-color block counter generalizes the paper's "insert them into
-/// `P_1`" description to the case where a color is within `δ1` of several
-/// open intervals or still descending through the palettes — the counting
-/// argument of Theorem 2 (at most `λ*_{G,t}` colors held by distance plus at
-/// most `2(δ1-1)λ*_{G,1}` blocked) is unchanged, so the pool never runs dry.
+/// Counts `λ*_{G,t}` and `λ*_{G,1} = ω(G) - 1` (see [`lambda_star`]), then
+/// repeats the Figure 1 sweep with `P_0` pre-filled with
+/// `{0, ..., U = λ*_{G,t} + 2(δ1-1)λ*_{G,1}}`. When a color `c` is assigned,
+/// the `2(δ1-1)` colors nearest to `c` are *blocked* until the interval
+/// closes. A per-color block counter generalizes the paper's "insert them
+/// into `P_1`" description to the case where a color is within `δ1` of
+/// several open intervals or still descending through the palettes — the
+/// counting argument of Theorem 2 (at most `λ*_{G,t}` colors held by
+/// distance plus at most `2(δ1-1)λ*_{G,1}` blocked) is unchanged, so `P_0`
+/// is never empty.
 ///
-/// `O(n (t + δ1))`. Panics when `U` does not fit in `u32`.
+/// Each vertex takes the *smallest* color of `P_0`, an occupancy bitmap
+/// over the pool. `P_0` at `v` is exactly the set of colors that greedy
+/// first fit may give `v` in left-endpoint order (a color returns to `P_0`
+/// when its holder leaves distance `t` of every later vertex, and the open
+/// intervals are `v`'s earlier neighbours), so the labeling is greedy's
+/// and its span is at most `U`.
+///
+/// `O(n (t + δ1 + U/64))`. Panics when `U` does not fit in `u32`.
 pub fn approx_delta1_coloring(
     rep: &IntervalRepresentation,
     t: u32,
@@ -273,8 +290,7 @@ pub fn approx_delta1_coloring_ws(
     ws.begin_solve(metrics);
     let (lambda_t, lambda_1) = {
         let _span = metrics.span("interval.lambda_bounds");
-        let lambda_1 = rep.max_clique().saturating_sub(1) as u32;
-        (count_lambda_star(rep, t, ws), lambda_1)
+        count_lambda_star(rep, t, ws)
     };
     let upper_bound = theorem_bound(
         "Theorem 2's U = λ*ₜ + 2(δ1−1)λ*₁",
@@ -285,48 +301,38 @@ pub fn approx_delta1_coloring_ws(
     let pool = upper_bound as usize + 1;
     let mut colors = ws.take_colors(n, u32::MAX);
     let Workspace {
-        palette: palettes,
+        first_fit: palette,
         deps,
-        block,
         grow_events,
         ..
     } = ws;
-    palettes.reset(pool);
-    // block[c] = number of open intervals whose color is within delta1-1 of c.
-    ensure_u32(block, pool, 0, grow_events);
+    palette.reset(pool, grow_events);
     deps.reset(n, pool, grow_events);
     let mut max_r = 0u32;
     let mut deep: Vertex = 0;
     let mut open = 0usize;
+    // The colors within δ1 - 1 of c, which c's holder blocks while open.
+    // Blocking c itself changes nothing: c stays out of P_0 until its
+    // holder closes, and the release follows the close.
     let window = |c: u32| {
         let lo = c.saturating_sub(delta1 - 1);
         let hi = c.saturating_add(delta1 - 1).min(upper_bound);
-        (lo..=hi).filter(move |&x| x != c)
+        (lo, hi)
     };
     for &ev in rep.events() {
         match ev {
             Endpoint::Left(v) => {
                 if open == 0 && v > 0 {
-                    // A gap: every block counter is back at zero, and the
-                    // next component starts from a fresh pool.
-                    debug_assert!(block.iter().all(|&b| b == 0));
-                    palettes.restart(pool);
+                    palette.restart(); // a gap: the next component starts afresh
                 }
-                // P_0 holds exactly the unblocked level-0 colors; Theorem 2
-                // guarantees it is non-empty here.
-                let c = palettes
-                    .pop()
+                let c = palette
+                    .take_lowest(t)
                     .expect("Theorem 2: pool {0..=U} cannot be exhausted");
                 colors[v as usize] = c;
-                palettes.set_level(c, t);
                 deps.push(v, c);
                 if delta1 > 1 {
-                    for w in window(c) {
-                        block[w as usize] += 1;
-                        if block[w as usize] == 1 && palettes.is_linked(w) {
-                            palettes.unlink(w); // park until unblocked
-                        }
-                    }
+                    let (lo, hi) = window(c);
+                    palette.block(lo, hi);
                 }
                 if rep.right(v) > max_r {
                     max_r = rep.right(v);
@@ -337,35 +343,25 @@ pub fn approx_delta1_coloring_ws(
             Endpoint::Right(v) => {
                 open -= 1;
                 while let Some(c) = deps.pop_front(v) {
-                    if palettes.descend(c) > 0 {
+                    if palette.descend(c) > 0 {
                         if deep != v {
                             deps.push(deep, c);
                         } else {
                             debug_assert_eq!(open, 0);
                         }
-                    } else if block[c as usize] == 0 {
-                        palettes.link(c);
-                    } // else blocked: parked at level 0
+                    }
                 }
                 if delta1 > 1 {
-                    let c = colors[v as usize];
-                    for w in window(c) {
-                        block[w as usize] -= 1;
-                        if block[w as usize] == 0
-                            && palettes.level_of(w) == 0
-                            && !palettes.is_linked(w)
-                        {
-                            palettes.link(w); // unparked: usable again
-                        }
-                    }
+                    let (lo, hi) = window(colors[v as usize]);
+                    palette.release(lo, hi);
                 }
             }
         }
     }
     if metrics.is_enabled() {
         metrics.add(Counter::PeelSteps, n as u64);
-        metrics.add(Counter::PaletteProbes, palettes.probe_count());
-        metrics.add(Counter::PaletteWordScans, palettes.word_scan_count());
+        metrics.add(Counter::PaletteProbes, palette.probe_count());
+        metrics.add(Counter::PaletteWordScans, palette.word_scan_count());
     }
     IntervalApproxOutput {
         labeling: Labeling::new(colors),

@@ -2,21 +2,33 @@
 //! algorithms (Figure 1, §3.2 and Figure 5), and the dependency lists `L_v`
 //! of the interval sweeps.
 //!
-//! The algorithms only ever *extract* a color from `P_0`, so `P_0` is the
-//! one list: doubly linked through a color-indexed table `C[c]`, so that
-//! insertion, extraction of a *given* color and extraction of *some* color
-//! are all `O(1)`. A color in `P_1..P_t` is just its level in the same
-//! table: Figure 1 moves it down one palette by a decrement, and a color
-//! that reaches level 0 is linked into `P_0`.
+//! The algorithms only ever *extract* a color from `P_0`. Two
+//! representations of it serve them:
 //!
-//! The family keeps two deterministic work tallies:
+//! * [`PaletteFamily`] — Figure 1 (A1) and the tree sweeps (A4, A5). `P_0`
+//!   is one list, doubly linked through a color-indexed table `C[c]`, so
+//!   that insertion, extraction of a *given* color and extraction of *some*
+//!   color are all `O(1)`. A color in `P_1..P_t` is just its level in the
+//!   same table: Figure 1 moves it down one palette by a decrement, and a
+//!   color that reaches level 0 is linked into `P_0`.
+//! * `FirstFitPalette` — the §3.2 approximation (A2). Its pool is fixed at
+//!   `{0..=U}`, so `P_0` is an occupancy bitmap over the pool, and an
+//!   extraction takes the lowest set bit: the smallest usable color.
 //!
-//! * [`probe_count`](PaletteFamily::probe_count) — palette entries
-//!   *examined* by `pop`/`pop_where` (the paper-facing probe counter).
-//! * [`word_scan_count`](PaletteFamily::word_scan_count) — table words read
-//!   or written per operation (pointer splices, level and head
-//!   bookkeeping), the per-probe *work* behind the `palette_word_scans`
-//!   counter.
+//! Each keeps two deterministic work tallies, reported as the
+//! `palette_probes` and `palette_word_scans` counters:
+//!
+//! * `PaletteFamily` — [`probe_count`](PaletteFamily::probe_count) counts
+//!   the palette entries *examined* by `pop`/`pop_where`, and
+//!   [`word_scan_count`](PaletteFamily::word_scan_count) the table words
+//!   read or written per operation (pointer splices, level and head
+//!   bookkeeping).
+//! * `FirstFitPalette` — the probe count is the bitmap words an extraction
+//!   examines (one per extraction while the lowest free color is below
+//!   64), and the word count is the bitmap words read or written: the
+//!   words an extraction examines plus the one it clears a bit in, each
+//!   word a blocked window covers, one per color that rejoins `P_0`, and
+//!   every word of a refill.
 
 use crate::workspace::ensure_u32;
 use ssg_graph::Vertex;
@@ -28,9 +40,7 @@ const NIL: u32 = u32::MAX;
 /// list with O(1) insert / remove / pop, and a level per color.
 ///
 /// A color at level 0 is either linked into `P_0` or **parked** (at level 0
-/// yet not linked) — the §3.2 approximation parks colors blocked by the
-/// `δ1`-separation of an open interval, and the tree sweeps park the colors
-/// they have taken out.
+/// yet not linked): the tree sweeps park the colors they have taken out.
 #[derive(Debug, Clone)]
 pub struct PaletteFamily {
     next: Vec<u32>,
@@ -119,12 +129,6 @@ impl PaletteFamily {
         c
     }
 
-    /// The palette index currently holding color `c`.
-    #[inline]
-    pub fn level_of(&self, c: u32) -> u32 {
-        self.level[c as usize]
-    }
-
     /// Whether `c` is linked into `P_0` (at level 0 and not parked).
     #[inline]
     pub fn is_linked(&self, c: u32) -> bool {
@@ -156,6 +160,11 @@ impl PaletteFamily {
     }
 
     /// Unlinks `c` from `P_0`. The color is then *parked* at level 0.
+    // Out of line on purpose: inlined into the tree sweep's neighbourhood
+    // closure (`tree::remove_neighborhood_colors`), it made that closure
+    // too large to inline into its per-neighbour loop, and the release
+    // build's A4/A5 solves ran 4–7 % slower.
+    #[inline(never)]
     pub fn unlink(&mut self, c: u32) {
         debug_assert!(self.linked[c as usize], "color {c} not linked");
         let (p, n) = (self.prev[c as usize], self.next[c as usize]);
@@ -250,6 +259,129 @@ impl PaletteFamily {
     }
 }
 
+/// The palette of the §3.2 approximation (Theorem 2) over the fixed pool
+/// `{0..=U}`: one occupancy bit, one level and one block counter per color.
+/// A color's bit is set exactly when it is at level 0 and no open
+/// interval's color is within `δ1 - 1` of it, so the set bits are `P_0`
+/// and [`take_lowest`](Self::take_lowest) is a find-first-set over
+/// `⌈(U+1)/64⌉` words.
+#[derive(Debug, Default)]
+pub(crate) struct FirstFitPalette {
+    bits: Vec<u64>,
+    level: Vec<u32>,
+    block: Vec<u32>,
+    probes: u64,
+    word_scans: u64,
+}
+
+impl FirstFitPalette {
+    /// Starts a solve on the pool `0..pool`: every color at level 0,
+    /// unblocked and in `P_0`, and zeroed tallies.
+    pub(crate) fn reset(&mut self, pool: usize, grows: &mut u64) {
+        self.probes = 0;
+        self.word_scans = 0;
+        ensure_u32(&mut self.level, pool, 0, grows);
+        ensure_u32(&mut self.block, pool, 0, grows);
+        if self.bits.capacity() < pool.div_ceil(64) {
+            *grows += 1;
+        }
+        self.refill();
+    }
+
+    /// Returns every color to `P_0` at level 0: where the sweep crosses a
+    /// gap between components. Every block counter is already zero there,
+    /// since no interval is open.
+    pub(crate) fn restart(&mut self) {
+        debug_assert!(self.block.iter().all(|&b| b == 0));
+        self.level.fill(0);
+        self.refill();
+    }
+
+    fn refill(&mut self) {
+        let pool = self.level.len();
+        let words = pool.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(words, u64::MAX);
+        let tail = pool % 64;
+        if tail != 0 {
+            self.bits[words - 1] = (1 << tail) - 1;
+        }
+        self.word_scans += words as u64;
+    }
+
+    /// Takes the smallest color of `P_0` and puts it at level `level` (`P_t`
+    /// for a newly assigned color), or `None` when `P_0` is empty.
+    pub(crate) fn take_lowest(&mut self, level: u32) -> Option<u32> {
+        let i = self.bits.iter().position(|&w| w != 0)?;
+        let word = &mut self.bits[i];
+        let bit = word.trailing_zeros();
+        *word &= !(1 << bit);
+        // Examined words, plus the one whose bit was cleared.
+        self.probes += i as u64 + 1;
+        self.word_scans += i as u64 + 2;
+        let c = i as u32 * 64 + bit;
+        self.level[c as usize] = level;
+        Some(c)
+    }
+
+    /// Moves `c` down one palette and returns its new level; at level 0 an
+    /// unblocked color rejoins `P_0`.
+    pub(crate) fn descend(&mut self, c: u32) -> u32 {
+        let c = c as usize;
+        let j = self.level[c] - 1;
+        self.level[c] = j;
+        // Branch-free: whether a color rejoins is data-dependent.
+        let free = u64::from(j == 0 && self.block[c] == 0);
+        self.bits[c / 64] |= free << (c % 64);
+        self.word_scans += free;
+        j
+    }
+
+    /// Blocks the colors `lo..=hi` for one more open interval (the window
+    /// of its color), taking them out of `P_0`.
+    pub(crate) fn block(&mut self, lo: u32, hi: u32) {
+        let (lo, hi) = (lo as usize, hi as usize);
+        for b in &mut self.block[lo..=hi] {
+            *b += 1;
+        }
+        for i in lo / 64..=hi / 64 {
+            let from = if i == lo / 64 { lo % 64 } else { 0 };
+            let to = if i == hi / 64 { hi % 64 } else { 63 };
+            self.bits[i] &= !((u64::MAX >> (63 - (to - from))) << from);
+            self.word_scans += 1;
+        }
+    }
+
+    /// Releases one block on each of the colors `lo..=hi`; a color at level
+    /// 0 that is no longer blocked rejoins `P_0`.
+    pub(crate) fn release(&mut self, lo: u32, hi: u32) {
+        let (lo, hi) = (lo as usize, hi as usize);
+        let blocks = self.block[lo..=hi].iter_mut();
+        for ((c, b), &level) in (lo..).zip(blocks).zip(&self.level[lo..=hi]) {
+            *b -= 1;
+            let free = u64::from(*b == 0 && level == 0);
+            self.bits[c / 64] |= free << (c % 64);
+            self.word_scans += free;
+        }
+    }
+
+    /// Bitmap words examined by extractions since the last
+    /// [`reset`](Self::reset).
+    pub(crate) fn probe_count(&self) -> u64 {
+        self.probes
+    }
+
+    /// Bitmap words read or written since the last [`reset`](Self::reset).
+    pub(crate) fn word_scan_count(&self) -> u64 {
+        self.word_scans
+    }
+
+    /// Sum of the buffer capacities, in elements.
+    pub(crate) fn capacity_footprint(&self) -> usize {
+        self.bits.capacity() + self.level.capacity() + self.block.capacity()
+    }
+}
+
 /// The dependency lists `L_v` of Figure 1 and §3.2: the colors waiting for
 /// interval `v` to close before they move down a palette. Each list is an
 /// intrusive FIFO: vertex-indexed heads and tails, and one color-indexed
@@ -328,7 +460,6 @@ mod tests {
         let mut f = PaletteFamily::new(1);
         let c = f.pop().unwrap();
         f.set_level(c, 3);
-        assert_eq!(f.level_of(c), 3);
         assert!(f.is_empty());
         assert_eq!(f.descend(c), 2);
         assert_eq!(f.descend(c), 1);
@@ -345,7 +476,6 @@ mod tests {
         f.unlink(2);
         assert_eq!(f.collect(), vec![4, 3, 1, 0]);
         assert!(!f.is_linked(2));
-        assert_eq!(f.level_of(2), 0);
         f.unlink(4); // front removal
         assert_eq!(f.collect(), vec![3, 1, 0]);
         f.unlink(0); // back removal
@@ -415,7 +545,6 @@ mod tests {
         let fresh = PaletteFamily::new(2);
         assert_eq!(f.pool_size(), fresh.pool_size());
         assert_eq!(f.collect(), fresh.collect());
-        assert_eq!(f.level_of(0), 0);
         assert_eq!(f.probe_count(), 0);
         assert_eq!(f.word_scan_count(), fresh.word_scan_count());
         // Same LIFO pop order as a fresh family.
@@ -435,7 +564,6 @@ mod tests {
         let fresh = PaletteFamily::new(2);
         assert_eq!(f.pool_size(), fresh.pool_size());
         assert_eq!(f.collect(), fresh.collect());
-        assert!((0..2).all(|c| f.level_of(c) == 0));
         assert_eq!(f.probe_count(), probes);
         assert_eq!(f.word_scan_count(), scans + fresh.word_scan_count());
     }
@@ -444,11 +572,83 @@ mod tests {
     fn parked_colors_keep_level_zero_until_linked() {
         let mut f = PaletteFamily::new(2);
         f.unlink(0);
-        assert_eq!(f.level_of(0), 0);
         assert!(!f.is_linked(0));
         assert_eq!(f.collect(), vec![1]);
         f.link(0);
         assert_eq!(f.collect(), vec![0, 1]);
+    }
+
+    #[test]
+    fn first_fit_takes_the_lowest_unblocked_level_zero_color() {
+        let mut f = FirstFitPalette::default();
+        let mut grows = 0;
+        f.reset(70, &mut grows);
+        assert_eq!(f.take_lowest(2), Some(0));
+        f.block(1, 1);
+        assert_eq!(f.take_lowest(2), Some(2));
+        // 0 descends to level 1, then to 0 and rejoins P_0.
+        assert_eq!(f.descend(0), 1);
+        assert_eq!(f.take_lowest(1), Some(3));
+        assert_eq!(f.descend(0), 0);
+        assert_eq!(f.take_lowest(1), Some(0));
+        // A blocked color reaching level 0 waits for its last release.
+        f.block(3, 3);
+        assert_eq!(f.descend(3), 0);
+        f.release(1, 1);
+        assert_eq!(f.take_lowest(1), Some(1));
+        f.release(3, 3);
+        assert_eq!(f.take_lowest(1), Some(3));
+        // Overlapping windows: 4 and 5 stay out until both are released.
+        f.block(4, 5);
+        f.block(4, 4);
+        f.release(4, 5);
+        assert_eq!(f.take_lowest(1), Some(5));
+        f.release(4, 4);
+        assert_eq!(f.take_lowest(1), Some(4));
+        // A window across a word boundary; the second word is reached once
+        // the first is used up.
+        f.block(62, 65);
+        for c in 6..62 {
+            assert_eq!(f.take_lowest(1), Some(c));
+        }
+        let probes = f.probe_count();
+        assert_eq!(f.take_lowest(1), Some(66));
+        assert_eq!(f.probe_count(), probes + 2, "two words examined");
+        f.release(62, 65);
+        assert_eq!(f.take_lowest(1), Some(62));
+        for c in (63..66).chain(67..70) {
+            assert_eq!(f.take_lowest(1), Some(c));
+        }
+        assert_eq!(f.take_lowest(1), None, "colors past the pool never appear");
+    }
+
+    #[test]
+    fn first_fit_restart_refills_and_keeps_tallies() {
+        let mut f = FirstFitPalette::default();
+        let mut grows = 0;
+        f.reset(3, &mut grows);
+        assert_eq!(f.word_scan_count(), 1, "one refilled word");
+        for c in 0..3 {
+            assert_eq!(f.take_lowest(4), Some(c));
+        }
+        assert_eq!(f.take_lowest(4), None);
+        let (probes, scans) = (f.probe_count(), f.word_scan_count());
+        // Three extractions: one word examined and one written each.
+        assert_eq!((probes, scans), (3, 1 + 3 * 2));
+        f.restart();
+        assert_eq!(f.word_scan_count(), scans + 1);
+        assert_eq!(f.take_lowest(1), Some(0));
+        // Color 1 rejoins P_0 on release only at level 0.
+        f.block(1, 1);
+        f.release(1, 1);
+        assert_eq!(f.take_lowest(1), Some(1), "restart zeroed the levels");
+        assert_eq!(f.probe_count(), probes + 2);
+        // A warm reset to the same pool does not grow a buffer.
+        let footprint = f.capacity_footprint();
+        f.reset(3, &mut grows);
+        assert_eq!(grows, 3, "only the cold reset grew");
+        assert_eq!(f.capacity_footprint(), footprint);
+        assert_eq!((f.probe_count(), f.word_scan_count()), (0, 1));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Reusable scratch arenas for the labeling algorithms.
 //!
 //! Every A1–A5 call allocates the same shapes of scratch state: a color
-//! output buffer, a [`PaletteFamily`], the interval sweeps' dependency
-//! lists, BFS distance arrays, level logs. Each is a flat buffer, so a solve
-//! touches a few contiguous arrays whatever its size. On a production
-//! workload of heavy repeated traffic (the ROADMAP north-star) those
-//! allocations dominate the cheap `O(nt)` sweeps, so this module hoists
-//! all of them into a [`Workspace`] arena that solvers borrow from:
+//! output buffer, a [`PaletteFamily`] or A2's first-fit bitmap, the
+//! interval sweeps' dependency lists, BFS distance arrays, level logs. Each
+//! is a flat buffer, so a solve touches a few contiguous arrays whatever
+//! its size. On a production workload of heavy repeated traffic (the
+//! ROADMAP north-star) those allocations dominate the cheap `O(nt)` sweeps,
+//! so this module hoists all of them into a [`Workspace`] arena that
+//! solvers borrow from:
 //!
 //! * **One-shot callers** keep the plain entry points
 //!   (`l1_coloring(...)` etc.), which call the `*_ws` form on a transient
@@ -44,7 +45,7 @@
 //!   vendored rayon exposes no worker identity, and the checkout cost is
 //!   trivial next to a solve).
 
-use crate::palette::{DepLists, PaletteFamily};
+use crate::palette::{DepLists, FirstFitPalette, PaletteFamily};
 use crate::spec::Labeling;
 use ssg_graph::scratch::BfsScratch;
 use ssg_graph::Vertex;
@@ -61,8 +62,8 @@ pub struct Workspace {
     pub(crate) palette: PaletteFamily,
     /// Dependency lists `L_v` of Figure 1 / §3.2.
     pub(crate) deps: DepLists,
-    /// Per-color block counters of the §3.2 approximation.
-    pub(crate) block: Vec<u32>,
+    /// First-fit palette of the §3.2 approximation.
+    pub(crate) first_fit: FirstFitPalette,
     /// Rank-indexed scratch of the interval `λ*_{G,t}` count: furthest
     /// reaches, then closing tallies.
     pub(crate) ranks: Vec<u32>,
@@ -123,7 +124,7 @@ impl Workspace {
     pub fn capacity_footprint(&self) -> usize {
         self.palette.capacity_footprint()
             + self.deps.capacity_footprint()
-            + self.block.capacity()
+            + self.first_fit.capacity_footprint()
             + self.ranks.capacity()
             + self.level_log.capacity()
             + self.order.capacity()

@@ -24,20 +24,20 @@ const DELTA1: [u32; 4] = [1, 2, 3, 5];
 #[rustfmt::skip]
 const DIGESTS: [(u32, u64, u64); 12] = [
     // corridor n = 64
-    (10, 0x09b1cab6ea740644, 0x1ae0910456d1b2c9),
-    (15, 0x7332edfa6ce152ce, 0x23fac5a912538ff5),
-    (19, 0x7f29edf920d10b4b, 0xb5e7b8790297f25c),
-    (26, 0x70be0441ff309831, 0x68ff8d09d5d94ed9),
+    (10, 0x09b1cab6ea740644, 0x151311460013709f),
+    (15, 0x7332edfa6ce152ce, 0xeb63d52472fbc6c2),
+    (19, 0x7f29edf920d10b4b, 0xf65d2892c3592a4c),
+    (26, 0x70be0441ff309831, 0xe7b2454000019dfb),
     // corridor n = 4000
-    (16, 0xb65babc0fefa8535, 0x6adac51768f36768),
-    (32, 0x5cba6ac5bff1c0c2, 0x36eb003316eca0e1),
-    (43, 0x779d8eed54799133, 0xf0345e38a238355c),
-    (52, 0xfe0010b7ce1972e3, 0xdf7e92bcac0254f0),
+    (16, 0xb65babc0fefa8535, 0x2523f4a3a74a945f),
+    (32, 0x5cba6ac5bff1c0c2, 0x13193a54a6ef524e),
+    (43, 0x779d8eed54799133, 0x0ec25181b90f9447),
+    (52, 0xfe0010b7ce1972e3, 0xaf8bfe3e083f6e8f),
     // random_intervals, disconnected
-    (6, 0x7c0ae2fbb006b9a0, 0x1485e275b2f8a159),
-    (8, 0xb021be6f1e6b2b6d, 0x3ea6565e46f2eb62),
-    (10, 0xaceab8e2574648ec, 0xb287ccf1970d75e2),
-    (10, 0x5afe67bdcc84d0c1, 0xc8e2e14268c154f7),
+    (6, 0x7c0ae2fbb006b9a0, 0x853f5bd5f953680d),
+    (8, 0xb021be6f1e6b2b6d, 0xe6d3867d6b08ad2b),
+    (10, 0xaceab8e2574648ec, 0x15388659e272cbd2),
+    (10, 0x5afe67bdcc84d0c1, 0xcd401dd3b0c36ed1),
 ];
 
 /// FNV-1a-64 over the little-endian bytes of `words`.
@@ -77,6 +77,13 @@ fn interval_sweeps_match_recorded_digests() {
             for delta1 in DELTA1 {
                 let a2 = approx_delta1_coloring_ws(&rep, t, delta1, &mut ws, &m);
                 assert_eq!(a2.lambda_t, a1.lambda_star, "t={t} δ1={delta1}");
+                // U from λ*₁ = ω − 1, the clique the representation reports.
+                let lambda_1 = rep.max_clique() as u32 - 1;
+                assert_eq!(
+                    a2.upper_bound,
+                    a1.lambda_star + 2 * (delta1 - 1) * lambda_1,
+                    "t={t} δ1={delta1}"
+                );
                 a2_words.push(u64::from(a2.upper_bound));
                 a2_words.extend(a2.labeling.colors().iter().map(|&c| u64::from(c)));
                 ws.recycle(a2.labeling);

@@ -16,18 +16,20 @@
 //! | anything else   | `404` (`405` for a known path with the wrong verb)  |
 //!
 //! `POST /label` takes exactly one line-protocol `LABEL` line as its body
-//! and maps the wire reply onto HTTP status codes via [`status_for`], so
-//! the HTTP error surface is the same [`SsgError::kind`] table as the
-//! line protocol and the CLI exit codes.
+//! and answers from the engine's result: the labels of the labeling, or
+//! the error mapped onto an HTTP status via [`status_for`], so the HTTP
+//! error surface is the same [`SsgError::kind`] table as the line protocol
+//! and the CLI exit codes.
 
 use crate::protocol::{
-    parse_request, parse_response, parse_trace_context, LineEvent, LineReader, Request, Response,
+    flat_message, parse_request, parse_trace_context, LineEvent, LineReader, Request,
     PROTOCOL_VERSION,
 };
 use crate::server::{serve_label, Shared};
+use ssg_engine::LabelOutcome;
 use ssg_error::SsgError;
 use ssg_telemetry::json::Json;
-use ssg_telemetry::Counter;
+use ssg_telemetry::{Counter, Phase};
 use std::io::{Read, Write};
 
 /// Headers are bounded to this many total bytes; a peer streaming
@@ -88,9 +90,29 @@ fn error_body(err: &SsgError) -> String {
         ("protocol".into(), Json::Str(PROTOCOL_VERSION.into())),
         ("status".into(), Json::Str("err".into())),
         ("code".into(), Json::Str(err.kind().into())),
-        ("message".into(), Json::Str(err.to_string())),
+        ("message".into(), Json::Str(flat_message(err))),
     ])
     .render_pretty()
+}
+
+/// The `ssg-reply/v1` document of a solved request. `trace` is echoed
+/// only when the request propagated one, as on the line protocol.
+fn ok_body(outcome: &LabelOutcome, trace: Option<u64>) -> String {
+    let colors = outcome.labeling.colors();
+    let mut fields = vec![
+        ("schema".into(), Json::Str("ssg-reply/v1".into())),
+        ("protocol".into(), Json::Str(PROTOCOL_VERSION.into())),
+        ("status".into(), Json::Str("ok".into())),
+        ("span".into(), Json::U64(u64::from(outcome.labeling.span()))),
+        (
+            "labels".into(),
+            Json::Array(colors.iter().map(|&c| Json::U64(u64::from(c))).collect()),
+        ),
+    ];
+    if let Some(trace_id) = trace {
+        fields.push(("trace".into(), Json::Str(format!("{trace_id:016x}"))));
+    }
+    Json::Object(fields).render_pretty()
 }
 
 /// Serves one HTTP exchange on a sniffed connection. `request_line` is
@@ -194,8 +216,16 @@ pub(crate) fn serve_http(
                     if spec.trace.is_none() {
                         spec.trace = header_trace;
                     }
-                    let reply = serve_label(&spec, shared);
-                    respond_from_wire(writer, reply.trim_end())
+                    let serve = shared.metrics.time(Phase::Serve);
+                    let ((status, reason), body) = match serve_label(&spec, shared) {
+                        Ok(outcome) => {
+                            let trace = spec.trace.map(|(trace_id, _)| trace_id);
+                            ((200, "OK"), ok_body(&outcome, trace))
+                        }
+                        Err(err) => (status_for(&err), error_body(&err)),
+                    };
+                    drop(serve);
+                    write_response(writer, status, reason, "application/json", &body)
                 }
                 Ok(_) => {
                     shared.metrics.add(Counter::NetProtocolErrors, 1);
@@ -240,70 +270,6 @@ pub(crate) fn serve_http(
                 "Not Found",
                 "text/plain; charset=utf-8",
                 "not found\n",
-            )
-        }
-    }
-}
-
-/// Converts a wire reply line (`OK ...` / `ERR ...`) into the
-/// `ssg-reply/v1` JSON document `POST /label` answers with.
-fn respond_from_wire(writer: &mut impl Write, reply_line: &str) -> std::io::Result<()> {
-    match parse_response(reply_line) {
-        Ok(Response::Ok {
-            span,
-            colors,
-            trace,
-        }) => {
-            let mut fields = vec![
-                ("schema".into(), Json::Str("ssg-reply/v1".into())),
-                ("protocol".into(), Json::Str(PROTOCOL_VERSION.into())),
-                ("status".into(), Json::Str("ok".into())),
-                ("span".into(), Json::U64(u64::from(span))),
-                (
-                    "labels".into(),
-                    Json::Array(
-                        colors
-                            .into_iter()
-                            .map(|c| Json::U64(u64::from(c)))
-                            .collect(),
-                    ),
-                ),
-            ];
-            if let Some(trace_id) = trace {
-                fields.push(("trace".into(), Json::Str(format!("{trace_id:016x}"))));
-            }
-            let body = Json::Object(fields).render_pretty();
-            write_response(writer, 200, "OK", "application/json", &body)
-        }
-        Ok(Response::Err { code, message }) => {
-            // Rebuild enough of the error to reuse the status table; the
-            // code string is authoritative, the message is already flat.
-            let status = match code.as_str() {
-                "usage" | "parse" | "spec" | "class_mismatch" | "unknown_solver" => {
-                    (400, "Bad Request")
-                }
-                "deadline_exceeded" => (504, "Gateway Timeout"),
-                "queue_full" | "shutting_down" => (503, "Service Unavailable"),
-                _ => (500, "Internal Server Error"),
-            };
-            let body = Json::Object(vec![
-                ("schema".into(), Json::Str("ssg-reply/v1".into())),
-                ("protocol".into(), Json::Str(PROTOCOL_VERSION.into())),
-                ("status".into(), Json::Str("err".into())),
-                ("code".into(), Json::Str(code)),
-                ("message".into(), Json::Str(message)),
-            ])
-            .render_pretty();
-            write_response(writer, status.0, status.1, "application/json", &body)
-        }
-        Ok(_) | Err(_) => {
-            let err = SsgError::WorkerPanic("server produced an unparseable reply".into());
-            write_response(
-                writer,
-                500,
-                "Internal Server Error",
-                "application/json",
-                &error_body(&err),
             )
         }
     }

@@ -355,18 +355,55 @@ pub enum Response {
 /// (echoed as a final `trace=<hex64>` token) or `None` for untraced
 /// requests — echoing unconditionally would break old clients, which parse
 /// every post-span token as a color.
+///
+/// Below a span of 1000 the colors are copied from a table of `" c"` for
+/// each `c ≤ span`, padded to four bytes: one fixed-size copy per color
+/// instead of a digit loop and a variable-length append.
 pub fn push_ok(out: &mut Vec<u8>, outcome: &LabelOutcome, trace: Option<u64>) {
     let colors = outcome.labeling.colors();
-    out.reserve(8 + colors.len() * 4);
+    let span = outcome.labeling.span();
     out.extend_from_slice(b"OK ");
-    push_decimal(out, outcome.labeling.span());
-    for &c in colors {
-        out.push(b' ');
-        push_decimal(out, c);
+    push_decimal(out, span);
+    if span < TABLE_SPANS {
+        let table: Vec<([u8; 4], u8)> = (0..=span).map(spaced_digits).collect();
+        let mut at = out.len();
+        out.resize(at + 4 * colors.len(), 0);
+        for &c in colors {
+            let (bytes, len) = table[c as usize];
+            out[at..at + 4].copy_from_slice(&bytes);
+            at += usize::from(len);
+        }
+        out.truncate(at);
+    } else {
+        out.reserve(colors.len() * 4);
+        for &c in colors {
+            out.push(b' ');
+            push_decimal(out, c);
+        }
     }
     if let Some(trace_id) = trace {
         write!(out, " trace={trace_id:016x}").expect("writing to a Vec cannot fail");
     }
+}
+
+/// Spans below this render their colors through [`push_ok`]'s table, whose
+/// entries hold a space and at most three digits.
+const TABLE_SPANS: u32 = 1000;
+
+/// `" c"` for `c < 1000`, padded to four bytes, and its length.
+fn spaced_digits(c: u32) -> ([u8; 4], u8) {
+    let len = match c {
+        0..=9 => 2,
+        10..=99 => 3,
+        _ => 4,
+    };
+    let mut bytes = [b' '; 4];
+    let mut x = c;
+    for b in bytes[1..len].iter_mut().rev() {
+        *b = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    (bytes, len as u8)
 }
 
 /// Renders the success line for a solved request (no trailing newline):
@@ -396,12 +433,15 @@ fn push_decimal(out: &mut Vec<u8>, mut x: u32) {
 /// Renders the failure line for an error (no trailing newline). The
 /// message is flattened to one line.
 pub fn render_err(err: &SsgError) -> String {
-    let message: String = err
-        .to_string()
+    format!("ERR {} {}", err.kind(), flat_message(err))
+}
+
+/// An error's message on one line: line breaks become spaces.
+pub(crate) fn flat_message(err: &SsgError) -> String {
+    err.to_string()
         .chars()
         .map(|c| if c == '\n' || c == '\r' { ' ' } else { c })
-        .collect();
-    format!("ERR {} {message}", err.kind())
+        .collect()
 }
 
 /// Parses one response line (newline already stripped).
@@ -674,6 +714,31 @@ mod tests {
         ] {
             for trace in [None, Some(0xfeed_face_cafe_beef)] {
                 assert_eq!(render_ok(&out, trace), ok_line_by_to_string(&out, trace));
+            }
+        }
+    }
+
+    #[test]
+    fn ok_line_digits_match_to_string_at_table_edges() {
+        for span in [0, 9, 10, 99, 100, 999, 1000, u32::MAX] {
+            let mut colors: Vec<u32> = [0, 1, 9, 10, 99, 100, 999, 1000, span / 2]
+                .into_iter()
+                .filter(|&c| c <= span)
+                .collect();
+            colors.push(span);
+            colors.push(0);
+            let out = LabelOutcome {
+                labeling: Labeling::new(colors),
+                algorithm: String::new(),
+                wall: Duration::ZERO,
+            };
+            assert_eq!(out.labeling.span(), span);
+            for trace in [None, Some(0xfeed_face_cafe_beef)] {
+                assert_eq!(
+                    render_ok(&out, trace),
+                    ok_line_by_to_string(&out, trace),
+                    "span {span}"
+                );
             }
         }
     }

@@ -553,21 +553,17 @@ fn record_serve(shared: &Shared, received: Option<Instant>) {
     }
 }
 
-/// Serves one `POST /label` request: submits it, waits for its reply and
-/// renders the reply line.
-pub(crate) fn serve_label(spec: &LabelSpec, shared: &Shared) -> String {
-    let _serve = shared.metrics.time(Phase::Serve);
+/// Serves one `POST /label` request: submits it and waits for its reply.
+/// A failed request counts as a protocol error, as its `ERR` line does on
+/// the line protocol.
+pub(crate) fn serve_label(spec: &LabelSpec, shared: &Shared) -> Result<LabelOutcome, SsgError> {
     let (tx, rx) = mpsc::channel();
     let result = submit_label(spec, shared, &tx).and_then(|_| match rx.recv() {
         Ok(resp) => resp.result,
         Err(_) => Err(SsgError::WorkerPanic("engine reply channel closed".into())),
     });
-    let mut line = Vec::new();
-    push_label_reply(
-        &mut line,
-        result,
-        spec.trace.map(|(trace_id, _)| trace_id),
-        shared,
-    );
-    String::from_utf8(line).expect("reply lines are UTF-8")
+    if result.is_err() {
+        shared.metrics.add(Counter::NetProtocolErrors, 1);
+    }
+    result
 }

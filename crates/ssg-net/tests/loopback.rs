@@ -4,6 +4,7 @@
 
 use ssg_net::protocol::{parse_response, Response};
 use ssg_net::{Server, ServerConfig};
+use ssg_telemetry::json::Json;
 use ssg_telemetry::Metrics;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -182,6 +183,76 @@ fn http_endpoints_on_the_same_port() {
     let (status, _) = http("DELETE /healthz HTTP/1.1\r\nHost: t\r\n\r\n".into());
     assert_eq!(status, 405);
 
+    server.shutdown();
+}
+
+/// Posts one `LABEL` line to `/label`; returns the status and the parsed
+/// `ssg-reply/v1` body.
+fn post_label(server: &Server, line: &str) -> (u16, Json) {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = format!(
+        "POST /label HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{line}",
+        line.len()
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (head, body) = raw.split_once("\r\n\r\n").expect("header break");
+    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+    (status, Json::parse(body).expect("ssg-reply/v1 is JSON"))
+}
+
+#[test]
+fn post_label_answers_the_line_protocol_labels() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (mut reader, mut writer) = connect(&server);
+    for line in [
+        "LABEL corridor 300 7 2,1",
+        "LABEL platoon 120 9 5,2",
+        "LABEL backbone 200 3 3,1,1",
+    ] {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let Response::Ok { span, colors, .. } = parse_response(&read_line(&mut reader)).unwrap()
+        else {
+            panic!("{line}: expected OK");
+        };
+        let (status, doc) = post_label(&server, line);
+        assert_eq!(status, 200, "{line}: {doc:?}");
+        let labels: Vec<u32> = doc
+            .get("labels")
+            .and_then(Json::as_array)
+            .expect("labels array")
+            .iter()
+            .map(|l| l.as_u64().expect("label is a number") as u32)
+            .collect();
+        assert_eq!(labels, colors, "{line}");
+        assert_eq!(
+            doc.get("span").and_then(Json::as_u64),
+            Some(u64::from(span))
+        );
+        assert!(doc.get("trace").is_none(), "untraced: no echo");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn post_label_maps_a_missed_deadline_to_504() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (status, doc) = post_label(&server, "LABEL corridor 200 7 2,1 deadline_ms=0");
+    assert_eq!(status, 504, "{doc:?}");
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("err"));
+    assert_eq!(
+        doc.get("code").and_then(Json::as_str),
+        Some("deadline_exceeded")
+    );
+    let message = doc.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        !message.is_empty() && !message.contains('\n'),
+        "{message:?}"
+    );
     server.shutdown();
 }
 

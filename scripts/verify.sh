@@ -13,8 +13,9 @@ for root in src/lib.rs crates/*/src/lib.rs; do
     fi
 done
 
-echo "==> scripts/ab.sh parses (syntax only; a real A/B takes ~35 min)"
+echo "==> scripts/ab.sh and scripts/cpu_per_reply.sh parse (syntax only; each runs the benchmark)"
 sh -n scripts/ab.sh
+sh -n scripts/cpu_per_reply.sh
 
 echo "==> cargo build --release"
 cargo build --release --offline
